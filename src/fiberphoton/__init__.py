@@ -30,7 +30,6 @@ from .correlate import (
     background_coincidence_rate,
     cross_correlate,
     integrate_peaks,
-    intensity_ratio,
     normalize_cw,
     normalize_pulsed,
 )

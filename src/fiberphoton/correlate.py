@@ -139,27 +139,6 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
     )
 
 
-def start_stop_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
-                         bin_width: float = DEFAULT_BIN_WIDTH) -> CoincidenceHistogram:
-    """Start-stop variant: each start (stream 1) pairs only with the first
-    following stop (stream 2) within the window.  Adequate for sparse cw
-    streams where multiple stops per window are rare."""
-    _check_stream(s1, "stream 1")
-    _check_stream(s2, "stream 2")
-    edges = make_edges(window, bin_width)
-    if s1.times.size == 0 or s2.times.size == 0:
-        counts = np.zeros(edges.size - 1, dtype=np.int64)
-        return CoincidenceHistogram(edges, counts, 0, window, s1.duration,
-                                    flags=["empty-input"])
-    nxt = np.searchsorted(s2.times, s1.times, side="left")
-    valid = nxt < s2.times.size
-    delays = s2.times[nxt[valid]] - s1.times[valid]
-    delays = delays[delays <= window]
-    counts, _ = np.histogram(delays, bins=edges)
-    return CoincidenceHistogram(edges, counts.astype(np.int64), int(counts.sum()),
-                                window, s1.duration)
-
-
 def normalize_cw(h: CoincidenceHistogram, rate1: float, rate2: float,
                  duration: Optional[float] = None) -> CoincidenceHistogram:
     """Normalize by the uncorrelated expectation rate1*rate2*bin_width*duration.
@@ -306,11 +285,3 @@ def background_coincidence_rate(rate_em: float, rate_bg: float,
     r_tot = rate_em + rate_bg
     return (r_tot**2 - rate_em**2) * bin_width * duration
 
-
-def intensity_ratio(rate_em: float, rate_bg: float):
-    """Emitter-to-total intensity ratio rho as a BackgroundMix."""
-    from .emitter import BackgroundMix
-
-    if rate_em < 0 or rate_bg < 0:
-        raise InvalidParameter("rates must be >= 0")
-    return BackgroundMix.from_intensities(rate_em, rate_bg)

@@ -158,12 +158,3 @@ def confinement_sweep(n: float, a: float = 1.0, wavelength: float = 1.0,
     ])
     return ratios, eta
 
-
-def mode_count_sweep(n: float, a: float, wavelengths) -> tuple[np.ndarray, np.ndarray]:
-    """Whispering-gallery mode count versus vacuum wavelength."""
-    wavelengths = np.asarray(wavelengths, dtype=float)
-    counts = np.array([
-        len(wgm_mode_numbers(FiberGeometry(a=a, n=n, r=0.0, wavelength=w)))
-        for w in wavelengths
-    ])
-    return wavelengths, counts

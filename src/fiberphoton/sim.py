@@ -6,6 +6,15 @@ excitation, followed by a beam-splitter detection chain: per-photon detection
 efficiency, 50/50 channel routing, Gaussian timing jitter, and independent
 Poisson dark and background events per channel.
 
+Pulsed emission has one sampler, exact for any gamma.  An event loop inverts
+the periodic integrated pump hazard in closed form (Lewis & Shedler, Naval
+Res. Logist. Q. 26, 403 (1979)) and skips idle pulses whole.  After _HANDOFF
+emissions in a row that decayed inside their own pulse, it hands the pulses
+from the next boundary it crosses in the ground state to a vectorized pass and
+resumes at that pass's first spill-over (a decay at or past its pulse's end).
+This is exact: a boundary crossed in the ground state is a regeneration point,
+and the draws dropped after a spill-over are independent of all before it.
+
 Everything is deterministic for a fixed SimConfig: all randomness descends
 from numpy SeedSequence children of the config seed, with separate
 sub-streams for emission, detection, and each channel's additive events.
@@ -25,9 +34,9 @@ from .errors import InvalidParameter
 #: Pulse envelope shapes for the time-dependent pump rate.
 PULSE_SHAPES = ("exponential", "rectangular")
 
-#: gamma * period above which pulses decouple and the fast per-pulse
-#: vectorized sampler is exact in practice (spill-over probability < 1e-9).
-_PROMPT_GAMMA_PERIOD = 25.0
+#: Emissions in a row that decay inside their own pulse before the pulsed
+#: event loop hands the following pulses to the vectorized pass.
+_HANDOFF = 128
 
 _BLOCK = 1 << 19
 
@@ -98,8 +107,6 @@ def _rng_children(seed: int, n: int):
 def _cw_emissions(p: EmitterParams, duration: float,
                   rng: np.random.Generator) -> np.ndarray:
     """Alternating Exp(w_p) pump waits and Exp(gamma) decay waits."""
-    if p.gamma == 0:
-        return np.empty(0)
     mean_cycle = 1.0 / p.w_p + 1.0 / p.gamma
     out = []
     t = 0.0
@@ -139,56 +146,47 @@ def _pulse_invert_hazard(s, e, w0, pulse: PulseParams, shape: str):
     return s + e / w0
 
 
-def _pulsed_emissions_fast(p: EmitterParams, pulse: PulseParams, shape: str,
-                           duration: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-pulse vectorized sampler, valid when gamma*period is large enough
-    that the emitter always relaxes before the next pulse."""
-    n_pulses = int(duration // pulse.period)
-    out = []
-    for block_start in range(0, n_pulses, _BLOCK):
-        nb = min(_BLOCK, n_pulses - block_start)
-        offsets = (block_start + np.arange(nb)) * pulse.period
-        s = np.zeros(nb)
-        alive = np.ones(nb, dtype=bool)
-        while alive.any():
-            idx = np.flatnonzero(alive)
-            e = rng.exponential(1.0, idx.size)
-            cap = _pulse_hazard_remaining(s[idx], p.w_p, pulse, shape)
-            excited = e < cap
-            if not excited.any():
-                alive[idx] = False
-                break
-            alive[idx[~excited]] = False
-            jdx = idx[excited]
-            t_exc = _pulse_invert_hazard(s[jdx], e[excited], p.w_p, pulse, shape)
-            t_em = t_exc + rng.exponential(1.0 / p.gamma, jdx.size)
-            emitted = offsets[jdx] + t_em
-            out.append(emitted[emitted <= duration])
-            within = t_em < pulse.period
-            s[jdx[within]] = t_em[within]
-            alive[jdx[~within]] = False
-        # alive array fully consumed for this block
-    if not out:
-        return np.empty(0)
-    return np.sort(np.concatenate(out))
+def _pulse_blocks(p: EmitterParams, pulse: PulseParams, shape: str, first: int,
+                  n_pulses: int, rng: np.random.Generator):
+    """Pulses first .. n_pulses - 1 side by side, in blocks of 1, 2, 4 .. _BLOCK.
 
-
-def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams, shape: str,
-                                 duration: float,
-                                 rng: np.random.Generator) -> np.ndarray:
-    """General event loop for pulsed pumping, exact for any gamma.
-
-    Each pump wait inverts the periodic integrated hazard in closed form, so
-    idle stretches between pulses cost nothing; suitable when the emission
-    count is modest (slow gamma) where the fast path does not apply.
+    Returns the emission arrays and the first spill-over time (later pulses of
+    its block are dropped), or inf if no pulse spilled over.
     """
-    if p.gamma == 0:
-        return np.empty(0)
+    out, size = [], 1
+    while first < n_pulses:
+        nb = min(size, n_pulses - first)
+        s, idx, cut = np.zeros(nb), np.arange(nb), nb
+        times, owners = [], []
+        while idx.size:
+            e = rng.exponential(1.0, idx.size)
+            excited = e < _pulse_hazard_remaining(s[idx], p.w_p, pulse, shape)
+            idx, e = idx[excited], e[excited]
+            t_em = (_pulse_invert_hazard(s[idx], e, p.w_p, pulse, shape)
+                    + rng.exponential(1.0 / p.gamma, idx.size))
+            times.append((first + idx) * pulse.period + t_em)
+            owners.append(idx)
+            within = t_em < pulse.period
+            if not within.all():
+                cut = min(cut, int(idx[~within][0]))
+            keep = within & (idx < cut)
+            idx = idx[keep]
+            s[idx] = t_em[keep]
+        out.append(np.sort(np.concatenate(times)[np.concatenate(owners) <= cut]))
+        if cut < nb:
+            return out, float(out[-1][-1])
+        first, size = first + nb, min(2 * size, _BLOCK)
+    return out, math.inf
+
+
+def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, shape: str,
+                      duration: float, rng: np.random.Generator) -> np.ndarray:
+    """The pulsed event loop, handing runs of pulses to _pulse_blocks."""
     h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse, shape))
     if h_full <= 0:
         return np.empty(0)
-    out = []
-    t = 0.0
+    n_pulses = math.ceil(duration / pulse.period)
+    out, run, t, streak = [], [], 0.0, 0
     excited = p.rho_e0 > 0 and rng.random() < p.rho_e0
     while t <= duration:
         if not excited:
@@ -196,21 +194,23 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams, shape: st
             phase = t % pulse.period
             h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse, shape))
             if e < h0:
-                t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse, shape))
-                t = t - phase + t_exc
+                t += float(_pulse_invert_hazard(phase, e, p.w_p, pulse, shape)) - phase
+            elif streak >= _HANDOFF:
+                blocks, t = _pulse_blocks(p, pulse, shape, int(t // pulse.period) + 1,
+                                          n_pulses, rng)
+                out += [run, *blocks]
+                run, streak = [], 0
+                continue
             else:
-                e -= h0
-                skip = math.floor(e / h_full)
-                e -= skip * h_full
-                t = t - phase + (skip + 1) * pulse.period
-                t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse, shape))
-            if t > duration:
-                break
+                skip, e = divmod(e - h0, h_full)
+                t += ((skip + 1) * pulse.period - phase
+                      + float(_pulse_invert_hazard(0.0, e, p.w_p, pulse, shape)))
+        k = t // pulse.period
         t += rng.exponential(1.0 / p.gamma)
-        excited = False
-        if t <= duration:
-            out.append(t)
-    return np.asarray(out)
+        excited, streak = False, (streak + 1 if t // pulse.period == k else 0)
+        run.append(t)
+    emissions = np.concatenate(out + [run])
+    return emissions[emissions <= duration]
 
 
 def simulate_emission(cfg: SimConfig) -> np.ndarray:
@@ -218,7 +218,9 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
 
     cw: alternating exponential pump and decay waits.  Pulsed: the pump rate
     is modulated by the pulse envelope (one-sided exponential of width tau_o
-    by default, rectangular as an option) restarting every period.
+    by default, rectangular as an option) restarting every period; the one
+    sampler described in the module docstring is exact for any gamma, starts
+    excited with probability rho_e0 and pumps the last partial pulse.
     """
     rng = _rng_children(cfg.seed, 5)[0]
     p = cfg.emitter
@@ -226,11 +228,7 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
         return np.empty(0)
     if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
-    if p.gamma * cfg.pulse.period >= _PROMPT_GAMMA_PERIOD:
-        return _pulsed_emissions_fast(p, cfg.pulse, cfg.pulse_shape,
-                                      cfg.duration, rng)
-    return _pulsed_emissions_sequential(p, cfg.pulse, cfg.pulse_shape,
-                                        cfg.duration, rng)
+    return _pulsed_emissions(p, cfg.pulse, cfg.pulse_shape, cfg.duration, rng)
 
 
 def _make_strict(times: np.ndarray) -> np.ndarray:

@@ -8,12 +8,11 @@ from fiberphoton.correlate import (
     background_coincidence_rate,
     cross_correlate,
     integrate_peaks,
-    intensity_ratio,
     make_edges,
     normalize_cw,
     normalize_pulsed,
-    start_stop_correlate,
 )
+from fiberphoton.emitter import BackgroundMix
 from fiberphoton.errors import (
     DegenerateInput,
     InsufficientPeaks,
@@ -99,27 +98,6 @@ class TestBruteForceOracle:
         s2 = stream([1.0], 100.0, 2)
         with pytest.raises(UnsortedInput):
             cross_correlate(s1, s2, window=10.0)
-
-
-class TestStartStop:
-    def test_counts_first_stop_only(self):
-        s1 = stream([0.0], 100.0, 1)
-        s2 = stream([1.0, 2.0, 3.0], 100.0, 2)
-        h = start_stop_correlate(s1, s2, window=10.0, bin_width=1.0)
-        assert h.total_pairs == 1
-        assert h.counts[h.centers.searchsorted(1.0)] == 0 or h.counts.sum() == 1
-
-    def test_agrees_with_full_correlator_when_sparse(self):
-        rng = np.random.default_rng(37)
-        t1 = np.unique(rng.uniform(0, 1e6, 200))
-        t2 = np.unique(rng.uniform(0, 1e6, 200))
-        s1, s2 = stream(t1, 1e6, 1), stream(t2, 1e6, 2)
-        full = cross_correlate(s1, s2, window=20.0, bin_width=1.0)
-        ss = start_stop_correlate(s1, s2, window=20.0, bin_width=1.0)
-        # Sparse streams: multiple stops per window are rare, so positive
-        # delays agree almost everywhere.
-        pos = full.centers > 0
-        assert np.sum(np.abs(full.counts[pos] - ss.counts[pos])) <= 2
 
 
 class TestNormalization:
@@ -241,7 +219,7 @@ class TestHelpers:
             background_coincidence_rate(-1.0, 0.0, 1.0, 1.0)
 
     def test_intensity_ratio(self):
-        mix = intensity_ratio(1500.0, 150.0)
+        mix = BackgroundMix.from_intensities(1500.0, 150.0)
         assert mix.rho == pytest.approx(1500.0 / 1650.0)
 
     def test_histogram_validation(self):

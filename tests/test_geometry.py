@@ -14,7 +14,6 @@ from fiberphoton.geometry import (
     confinement_efficiency_sampled,
     confinement_sweep,
     critical_offset,
-    mode_count_sweep,
     tir_area_fraction,
     wgm_mode_numbers,
 )
@@ -86,12 +85,6 @@ class TestSweeps:
         assert ratios.size == eta.size == 51
         assert eta[0] == 0.0
         assert eta[-1] == pytest.approx(0.5155, abs=1e-3)
-
-    def test_mode_count_sweep(self):
-        wavelengths, counts = mode_count_sweep(1.45, 1.0, [0.5, 1.0, 2.0])
-        # Mode count scales with a/lambda: halving lambda doubles the annulus
-        # circumference in wavelengths.
-        assert counts[0] > counts[1] > counts[2]
 
     def test_wgm_scale_invariance(self):
         m1 = wgm_mode_numbers(geom(a=1.0, wavelength=1.0))
