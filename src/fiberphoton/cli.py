@@ -17,13 +17,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import correlate as corr
 from . import fit as fitmod
 from . import geometry as geom
 from . import io as fio
-from .emitter import EmitterParams, PulseParams
 from .errors import FiberPhotonError
 from .sim import SimConfig, simulate_streams
 
@@ -46,47 +43,40 @@ def _fail(code: int, message: str) -> int:
 
 
 def _build_sim_config(args) -> SimConfig:
-    emitter = EmitterParams(w_p=args.wp, gamma=args.gamma)
-    pulse = None
-    if args.pulsed:
-        if args.tau_o is None or args.period is None:
-            raise FiberPhotonError("--pulsed requires --tau-o and --period")
-        pulse = PulseParams(tau_o=args.tau_o, period=args.period)
-    return SimConfig(
-        emitter=emitter,
-        pulse=pulse,
-        duration=args.duration,
-        seed=args.seed,
-        detection_efficiency=args.efficiency,
-        dark_rate_per_channel=args.dark_rate,
-        background_rate=args.background_rate,
-        jitter_sigma=args.jitter,
-        pulse_shape=args.pulse_shape,
-    )
+    if args.pulsed and (args.tau_o is None or args.period is None):
+        raise FiberPhotonError("--pulsed requires --tau-o and --period")
+    return SimConfig.from_dict({
+        "emitter": {"w_p": args.wp, "gamma": args.gamma},
+        "pulse": {"tau_o": args.tau_o, "period": args.period} if args.pulsed else None,
+        "duration": args.duration,
+        "seed": args.seed,
+        "detection_efficiency": args.efficiency,
+        "dark_rate_per_channel": args.dark_rate,
+        "background_rate": args.background_rate,
+        "jitter_sigma": args.jitter,
+        "pulse_shape": args.pulse_shape,
+    })
+
+
+def _write_streams(stream_path: Path, cfg: SimConfig):
+    """Simulate cfg and write its stream CSV and sidecar."""
+    streams = simulate_streams(cfg)
+    fio.write_stream_csv(stream_path, streams)
+    fio.write_sim_sidecar(fio.sidecar_path(stream_path), cfg)
+    return streams
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_sim_config(args)
-    streams = simulate_streams(cfg)
-    out = _outdir(args)
-    stream_path = out / f"{args.prefix}.csv"
-    fio.write_stream_csv(stream_path, streams)
-    fio.write_sim_sidecar(fio.sidecar_path(stream_path), cfg)
-    print(f"wrote {stream_path} ({streams[0].times.size} + "
-          f"{streams[1].times.size} events)")
+    stream_path = _outdir(args) / f"{args.prefix}.csv"
+    s1, s2 = _write_streams(stream_path, _build_sim_config(args))
+    print(f"wrote {stream_path} ({s1.times.size} + {s2.times.size} events)")
     return EXIT_OK
 
 
 def _load_streams(paths):
     if len(paths) == 1:
         return fio.read_stream_csv(paths[0])
-    a = fio.read_stream_csv(paths[0])
-    b = fio.read_stream_csv(paths[1])
-    if abs(a[0].duration - b[1].duration) > 1e-9 * max(a[0].duration, b[1].duration):
-        raise FiberPhotonError(
-            f"stream durations differ: {a[0].duration} vs {b[1].duration}"
-        )
-    return a[0], b[1]
+    return fio.read_stream_csv(paths[0])[0], fio.read_stream_csv(paths[1])[1]
 
 
 def cmd_correlate(args) -> int:
@@ -123,27 +113,35 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    out = _outdir(args)
-    if args.model == "saturation":
-        data = fio.read_saturation_csv(args.input)
-        result = fitmod.fit_saturation(data)
-    else:
-        h = fio.read_histogram_csv(args.input)
-        if args.model == "cw":
-            result = fitmod.fit_g2_cw(h, fit_halfwidth=args.fit_halfwidth)
-        else:
-            if args.tau_o is None:
-                raise FiberPhotonError("--model pulsed requires --tau-o")
-            result = fitmod.fit_g2_pulsed(h, tau_o_fixed=args.tau_o,
-                                          fit_halfwidth=args.fit_halfwidth)
-    report_path = out / f"{args.prefix}.json"
+def _fit_histogram(h, model: str, tau_o, fit_halfwidth):
+    """Fit a normalized histogram with the cw or the pulsed g2 model."""
+    if model == "cw":
+        return fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
+    if model != "pulsed":
+        raise FiberPhotonError(f"unknown histogram fit model {model!r}")
+    if tau_o is None:
+        raise FiberPhotonError("a pulsed fit requires tau_o (--tau-o, or "
+                               "tau_o in a pipeline fit section)")
+    return fitmod.fit_g2_pulsed(h, tau_o_fixed=tau_o, fit_halfwidth=fit_halfwidth)
+
+
+def _report_fit(report_path: Path, result) -> int:
     fio.write_fit_report(report_path, result)
     summary = ", ".join(f"{k}={v:.4g}" for k, v in result.params.items())
     print(f"{summary} -> {report_path}")
     if not result.converged:
         return _fail(EXIT_NO_CONVERGENCE, "fit did not converge")
     return EXIT_OK
+
+
+def cmd_fit(args) -> int:
+    out = _outdir(args)
+    if args.model == "saturation":
+        result = fitmod.fit_saturation(fio.read_saturation_csv(args.input))
+    else:
+        result = _fit_histogram(fio.read_histogram_csv(args.input), args.model,
+                                args.tau_o, args.fit_halfwidth)
+    return _report_fit(out / f"{args.prefix}.json", result)
 
 
 def cmd_geometry(args) -> int:
@@ -178,51 +176,36 @@ def cmd_geometry(args) -> int:
 def cmd_pipeline(args) -> int:
     config = json.loads(Path(args.config).read_text())
     out = _outdir(args)
-
-    sim_cfg = config["simulate"]
-    emitter = EmitterParams(**sim_cfg["emitter"])
-    pulse = PulseParams(**sim_cfg["pulse"]) if sim_cfg.get("pulse") else None
-    cfg = SimConfig(
-        emitter=emitter, pulse=pulse,
-        duration=sim_cfg["duration"], seed=sim_cfg["seed"],
-        detection_efficiency=sim_cfg.get("detection_efficiency", 1.0),
-        dark_rate_per_channel=sim_cfg.get("dark_rate_per_channel", 0.0),
-        background_rate=sim_cfg.get("background_rate", 0.0),
-        jitter_sigma=sim_cfg.get("jitter_sigma", 0.0),
-        pulse_shape=sim_cfg.get("pulse_shape", "exponential"),
-    )
-    streams = simulate_streams(cfg)
-    stream_path = out / "stream.csv"
-    fio.write_stream_csv(stream_path, streams)
-    fio.write_sim_sidecar(fio.sidecar_path(stream_path), cfg)
-
+    cfg = SimConfig.from_dict(config["simulate"])
     cor_cfg = config.get("correlate", {})
+    fit_cfg = config.get("fit") or {}
+    model = fit_cfg.get("model", "cw")
+    if model == "pulsed" and cfg.pulse is None:
+        raise FiberPhotonError("a pulsed fit needs a simulate.pulse section")
+
+    s1, s2 = _write_streams(out / "stream.csv", cfg)
     h = corr.cross_correlate(
-        streams[0], streams[1],
+        s1, s2,
         window=cor_cfg.get("window", corr.DEFAULT_CW_WINDOW),
         bin_width=cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH),
         n_chunks=args.workers,
     )
-    if streams[0].times.size and streams[1].times.size:
-        h = corr.normalize_cw(h, streams[0].rate, streams[1].rate)
+    if model == "pulsed":
+        # Per-channel dark counts plus half the shared background; the rest
+        # of each channel's rate is emitter signal.
+        b = cfg.dark_rate_per_channel + cfg.background_rate / 2
+        h = corr.normalize_pulsed(h, period=cfg.pulse.period, tau_o=cfg.pulse.tau_o,
+                                  signal_rates=(s1.rate - b, s2.rate - b),
+                                  background_rates=(b, b))
+    elif s1.times.size and s2.times.size:
+        h = corr.normalize_cw(h, s1.rate, s2.rate)
     fio.write_histogram_csv(out / "histogram.csv", h)
-
-    fit_cfg = config.get("fit")
-    code = EXIT_OK
-    if fit_cfg:
-        model = fit_cfg.get("model", "cw")
-        if model == "cw":
-            result = fitmod.fit_g2_cw(h, fit_halfwidth=fit_cfg.get("fit_halfwidth"))
-        elif model == "pulsed":
-            result = fitmod.fit_g2_pulsed(h, tau_o_fixed=fit_cfg["tau_o"],
-                                          fit_halfwidth=fit_cfg.get("fit_halfwidth"))
-        else:
-            raise FiberPhotonError(f"unknown pipeline fit model {model!r}")
-        fio.write_fit_report(out / "fit.json", result)
-        if not result.converged:
-            code = EXIT_NO_CONVERGENCE
     print(f"pipeline outputs in {out}")
-    return code
+    if not fit_cfg:
+        return EXIT_OK
+    result = _fit_histogram(h, model, fit_cfg.get("tau_o"),
+                            fit_cfg.get("fit_halfwidth"))
+    return _report_fit(out / "fit.json", result)
 
 
 def build_parser() -> argparse.ArgumentParser:

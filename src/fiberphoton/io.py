@@ -1,7 +1,8 @@
 """File formats: stream CSV, histogram CSV, saturation CSV, JSON reports.
 
-All floats are written with fixed formatting so identical data produces
-byte-identical files.
+Stream times are written as their shortest round-trip repr, so a stream CSV
+reads back bit for bit; the other floats use fixed formatting.  Identical
+data produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ def write_stream_csv(path, streams: tuple[TimestampStream, TimestampStream]):
         writer = csv.writer(fh)
         writer.writerow(STREAM_HEADER)
         for s in streams:
-            for t in s.times:
-                writer.writerow([s.channel, f"{t:.6f}"])
+            fh.writelines(f"{s.channel},{t!r}\r\n" for t in s.times.tolist())
 
 
 def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:

@@ -74,6 +74,20 @@ class SimConfig:
                 f"pulse_shape must be one of {PULSE_SHAPES}, got {self.pulse_shape!r}"
             )
 
+    @classmethod
+    def from_dict(cls, d: dict) -> SimConfig:
+        """Inverse of dataclasses.asdict (the simulate sidecar); fields with
+        defaults may be left out.  A missing, unknown or ill-typed key raises
+        InvalidParameter."""
+        try:
+            pulse = d.get("pulse")
+            return cls(**{**d, "emitter": EmitterParams(**d["emitter"]),
+                          "pulse": None if pulse is None else PulseParams(**pulse)})
+        except KeyError as exc:
+            raise InvalidParameter(f"simulate config lacks key {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            raise InvalidParameter(f"bad simulate config: {exc}") from None
+
 
 @dataclass
 class TimestampStream:

@@ -1,16 +1,21 @@
 """File formats and the command-line front end."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberphoton import io as fio
 from fiberphoton.cli import main
 from fiberphoton.correlate import CoincidenceHistogram, make_edges
-from fiberphoton.emitter import EmitterParams
+from fiberphoton.emitter import EmitterParams, PulseParams
 from fiberphoton.errors import MalformedFile
-from fiberphoton.sim import SimConfig, simulate_streams
+from fiberphoton.sim import (SimConfig, TimestampStream, simulate_emission,
+                             simulate_streams)
 
 
 def small_config(seed=1):
@@ -28,7 +33,21 @@ class TestStreamCsv:
         back = fio.read_stream_csv(path)
         for orig, rt in zip(streams, back):
             assert rt.duration == cfg.duration
-            assert np.allclose(rt.times, orig.times, atol=1e-6)
+            assert np.array_equal(rt.times, orig.times)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e9), unique=True),
+           st.lists(st.floats(0.0, 1e9), unique=True))
+    @example([1.0, 5e8, float(np.nextafter(5e8, np.inf))], [2.0, 3.0])
+    def test_round_trip_is_lossless(self, times1, times2):
+        streams = tuple(TimestampStream(channel=ch, times=sorted(t), duration=1e9)
+                        for ch, t in ((1, times1), (2, times2)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            fio.write_stream_csv(path, streams)
+            back = fio.read_stream_csv(path)
+        for orig, rt in zip(streams, back):
+            assert np.array_equal(rt.times, orig.times)
 
     def test_duration_fallback_without_sidecar(self, tmp_path):
         cfg = small_config()
@@ -249,3 +268,74 @@ class TestCliPipeline:
         assert main(["simulate", "--wp", "0.01", "--gamma", "0.02",
                      "--duration", "1e5", "--seed", "1"]) == 0
         assert (tmp_path / "envout" / "stream.csv").exists()
+
+    def _pipeline(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main(["pipeline", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+
+    def test_dead_time_honoured(self, tmp_path):
+        section = {"emitter": {"w_p": 0.2, "gamma": 0.4}, "duration": 1e5,
+                   "seed": 3, "dead_time": 50.0}
+        assert self._pipeline(tmp_path, {"simulate": section}) == 0
+        sidecar = json.loads((tmp_path / "out" / "stream.config.json").read_text())
+        assert sidecar["dead_time"] == 50.0
+        back = fio.read_stream_csv(tmp_path / "out" / "stream.csv")
+        cfg = SimConfig(emitter=EmitterParams(w_p=0.2, gamma=0.4), duration=1e5,
+                        seed=3, dead_time=50.0)
+        for orig, rt in zip(simulate_streams(cfg), back):
+            assert np.diff(rt.times).min() >= 50.0
+            assert np.array_equal(rt.times, orig.times)
+
+    @pytest.mark.parametrize("section, word", [
+        ({"emitter": {"wp": 0.2}, "duration": 1e5, "seed": 1}, "wp"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5}, "seed"),
+        ({"duration": 1e5, "seed": 1}, "emitter"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "pulse": {"tau": 6.0, "period": 100.0}}, "tau"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1, "jitter": 0.1},
+         "jitter"),
+        ([0.2, 1e5, 1], "simulate"),
+    ])
+    def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
+        assert self._pipeline(tmp_path, {"simulate": section}) == 2
+        assert word in capsys.readouterr().err
+
+    def test_simulate_sidecar_is_a_pipeline_section(self, tmp_path):
+        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3", "--pulsed",
+                     "--tau-o", "6", "--period", "100", "--duration", "1e5",
+                     "--seed", "4", "--dark-rate", "1e-4", "--jitter", "0.3",
+                     "--out", str(tmp_path / "sim")]) == 0
+        section = json.loads((tmp_path / "sim" / "stream.config.json").read_text())
+        assert self._pipeline(tmp_path, {"simulate": section}) == 0
+        assert ((tmp_path / "out" / "stream.csv").read_bytes()
+                == (tmp_path / "sim" / "stream.csv").read_bytes())
+
+    def test_pulsed_fit_without_pulse_exits_2(self, tmp_path):
+        config = {"simulate": {"emitter": {"w_p": 0.2, "gamma": 0.4},
+                               "duration": 1e5, "seed": 1},
+                  "fit": {"model": "pulsed", "tau_o": 6.0}}
+        assert self._pipeline(tmp_path, config) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pulsed_chain_recovers_rho(self, tmp_path, seed):
+        """Criterion 5's emitter and rho = 0.92 through the command line,
+        over 1e7 ns instead of 1e8 ns."""
+        rho, duration = 0.92, 1e7
+        section = {"emitter": {"w_p": 1.3, "gamma": 2.0},
+                   "pulse": {"tau_o": 6.0, "period": 100.0},
+                   "duration": duration, "seed": seed}
+        cfg = SimConfig(emitter=EmitterParams(w_p=1.3, gamma=2.0),
+                        pulse=PulseParams(tau_o=6.0, period=100.0),
+                        duration=duration, seed=seed)
+        r_sig = simulate_emission(cfg).size / duration
+        section["background_rate"] = r_sig * (1.0 - rho) / rho
+        config = {"simulate": section,
+                  "correlate": {"window": 450.0, "bin_width": 1.0},
+                  "fit": {"model": "pulsed", "tau_o": 6.0, "fit_halfwidth": 49.0}}
+        assert self._pipeline(tmp_path, config) == 0
+        report = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert report["converged"]
+        assert report["params"]["rho"] == pytest.approx(rho, abs=0.03)
+        assert 0.1 <= report["params"]["g2_exp_0"] <= 0.3
