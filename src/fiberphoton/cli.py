@@ -97,17 +97,8 @@ def cmd_correlate(args) -> int:
         peaks = corr.integrate_peaks(h, period=args.period,
                                      peak_halfwidth=args.peak_halfwidth,
                                      background_per_bin=args.background_per_bin)
-        report = {
-            "g2_int": peaks.g2_int,
-            "g2_int_sigma": peaks.g2_int_sigma,
-            "zero_peak_sum": peaks.zero_peak_sum,
-            "side_peak_sums": peaks.side_peak_sums,
-            "background_per_bin": peaks.background_per_bin,
-            "peak_halfwidth": peaks.peak_window,
-            "period": peaks.period,
-        }
         peaks_path = out / f"{args.prefix}.peaks.json"
-        peaks_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        fio.write_peaks_report(peaks_path, peaks)
         print(f"g2_int = {peaks.g2_int:.4f} +- {peaks.g2_int_sigma:.4f} "
               f"-> {peaks_path}")
     return EXIT_OK
@@ -158,13 +149,8 @@ def cmd_geometry(args) -> int:
         return EXIT_OK
     # confinement
     if args.sweep:
-        ratios, eta = geom.confinement_sweep(args.n)
-        out = _outdir(args)
-        path = out / "confinement_sweep.csv"
-        with path.open("w") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(ratios, eta):
-                fh.write(f"{x:.6f},{v:.9f}\n")
+        path = _outdir(args) / "confinement_sweep.csv"
+        fio.write_sweep_csv(path, *geom.confinement_sweep(args.n))
         print(f"wrote {path}")
     else:
         g = geom.FiberGeometry(a=1.0, n=args.n, r=args.r_over_a,

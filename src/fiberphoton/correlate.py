@@ -33,8 +33,9 @@ class CoincidenceHistogram:
 
     bin_edges are uniform and symmetric about zero delay; counts[k] is the
     number of pairs with delay t2 - t1 in bin k.  norm/norm_err are filled by
-    a normalization step.  flags carries quality markers such as
-    'empty-input' or 'low-statistics'.
+    a normalization step, which records its model ('cw' or 'pulsed') in
+    normalization.  flags carries quality markers such as 'empty-input' or
+    'low-statistics'.
     """
 
     bin_edges: np.ndarray
@@ -45,6 +46,7 @@ class CoincidenceHistogram:
     norm: Optional[np.ndarray] = None
     norm_err: Optional[np.ndarray] = None
     flags: list = field(default_factory=list)
+    normalization: Optional[str] = None
 
     def __post_init__(self):
         self.bin_edges = np.asarray(self.bin_edges, dtype=float)
@@ -157,7 +159,7 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float, rate2: float,
     if np.all(h.counts == 0):
         if "low-statistics" not in flags:
             flags.append("low-statistics")
-    return replace(h, norm=norm, norm_err=err, flags=flags)
+    return replace(h, norm=norm, norm_err=err, flags=flags, normalization="cw")
 
 
 def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
@@ -204,7 +206,8 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
 
     norm = (1.0 - rho2) + rho2 * excess / peak_scale
     err = rho2 * np.sqrt(np.maximum(h.counts, 1)) / peak_scale
-    return replace(h, norm=norm, norm_err=err, flags=list(h.flags))
+    return replace(h, norm=norm, norm_err=err, flags=list(h.flags),
+                   normalization="pulsed")
 
 
 @dataclass
@@ -215,7 +218,7 @@ class PeakIntegration:
     background-subtracted side-peak sum; g2_int_sigma assumes Poisson counts.
     """
 
-    peak_window: float
+    peak_halfwidth: float
     period: float
     zero_peak_sum: int
     side_peak_sums: list
@@ -263,7 +266,7 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
         var_zero / max(zero_corr, 1.0) ** 2 + var_side_mean / side_mean**2
     )
     return PeakIntegration(
-        peak_window=peak_halfwidth,
+        peak_halfwidth=peak_halfwidth,
         period=period,
         zero_peak_sum=zero_sum,
         side_peak_sums=side_sums,

@@ -175,8 +175,8 @@ def levenberg_marquardt(residual: Callable, p0: Sequence[float],
 
 
 def _covariance(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Covariance of the linearized problem; residuals are assumed already
-    scaled by their errors, otherwise the variance is estimated from SSR."""
+    """Covariance of the linearized problem, scaled by the reduced
+    chi-square SSR/dof."""
     JtJ = J.T @ J
     n, k = J.shape
     dof = max(n - k, 1)
@@ -196,8 +196,11 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
                          max_iter: int = MAX_ITERATIONS) -> FitResult:
     """Fit model(x, *params) to (xdata, ydata) by damped least squares.
 
-    sigma, when given, weights residuals as (y - model)/sigma; the reported
-    uncertainties then follow the stated errors instead of the scatter.
+    sigma, when given, weights residuals as (y - model)/sigma.  It sets the
+    relative weights only: the covariance is always rescaled by the reduced
+    chi-square SSR/dof, so the reported uncertainties follow the scatter about
+    the fit and do not change when every sigma is multiplied by one factor
+    (scipy's curve_fit with absolute_sigma=False).
     """
     xdata = np.asarray(xdata, dtype=float)
     ydata = np.asarray(ydata, dtype=float)
@@ -238,9 +241,14 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
     )
 
 
-def _normalized(h: CoincidenceHistogram):
+def _normalized(h: CoincidenceHistogram, model: str):
     if h.norm is None:
         raise InvalidParameter("histogram must be normalized before fitting")
+    if h.normalization not in (None, model):
+        raise InvalidParameter(
+            f"a {model} fit needs a {model}-normalized histogram, not a "
+            f"{h.normalization}-normalized one (`fiberphoton pipeline` with "
+            f"a pulsed fit section writes a pulsed-normalized histogram)")
     if h.counts.size < 10:
         raise InvalidParameter("need at least 10 bins to fit")
     return h.centers, h.norm, h.norm_err
@@ -267,33 +275,30 @@ def fit_g2_cw(h: CoincidenceHistogram,
     Reports g2_0 and w_p (plus the derived dip width 2/w_p).  A flat
     histogram leaves w_p unidentifiable and is flagged 'degenerate-data'.
     """
-    tau, y, err = _normalized(h)
+    tau, y, err = _normalized(h, "cw")
     if fit_halfwidth is not None:
         sel = np.abs(tau) <= fit_halfwidth
         tau, y = tau[sel], y[sel]
         err = err[sel] if err is not None else None
 
-    if _flat_histogram(y, err):
-        result = least_squares_engine(
-            lambda x, g0, wp: g2_cw_reduced(g0, wp, x), tau, y,
-            [float(np.clip(np.min(y), 0, 1.4)), 1.0],
-            bounds=([0.0, 1e-9], [1.5, np.inf]), sigma=err,
-            param_names=["g2_0", "w_p"], max_iter=50,
-        )
-        result.flags.append("degenerate-data")
-        return _with_dip_width(result)
-
+    flat = _flat_histogram(y, err)
     g0_init = float(np.clip(np.min(y), 0.0, 1.4))
-    # Half-recovery delay of the dip sets the initial rate.
-    depth = 1.0 - g0_init
-    below = np.abs(tau)[y < 1.0 - 0.5 * depth]
-    half_width = float(np.max(below)) if below.size else h.bin_width
-    wp_init = np.log(2.0) / max(half_width, h.bin_width / 2.0)
+    if flat:
+        wp_init = 1.0
+    else:
+        # Half-recovery delay of the dip sets the initial rate.
+        depth = 1.0 - g0_init
+        below = np.abs(tau)[y < 1.0 - 0.5 * depth]
+        half_width = float(np.max(below)) if below.size else h.bin_width
+        wp_init = np.log(2.0) / max(half_width, h.bin_width / 2.0)
     result = least_squares_engine(
         lambda x, g0, wp: g2_cw_reduced(g0, wp, x), tau, y,
         [g0_init, wp_init], bounds=([0.0, 1e-9], [1.5, np.inf]),
         sigma=err, param_names=["g2_0", "w_p"],
+        max_iter=50 if flat else MAX_ITERATIONS,
     )
+    if flat:
+        result.flags.append("degenerate-data")
     return _with_dip_width(result)
 
 
@@ -317,7 +322,7 @@ def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
     """
     if tau_o_fixed <= 0:
         raise InvalidParameter("tau_o_fixed must be > 0")
-    tau, y, err = _normalized(h)
+    tau, y, err = _normalized(h, "pulsed")
     if fit_halfwidth is not None:
         sel = np.abs(tau) <= fit_halfwidth
         tau, y = tau[sel], y[sel]

@@ -300,7 +300,8 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             outputs[(workers, attempt)] = tuple(
                 (out / name).read_bytes()
                 for name in ("stream.csv", "stream.config.json",
-                             "histogram.csv", "fit.json")
+                             "histogram.csv", "histogram.config.json",
+                             "fit.json")
             )
     reference = outputs[(1, "a")]
     ok = all(blob == reference for blob in outputs.values())

@@ -1,5 +1,7 @@
 """Least-squares engine and model front ends."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,13 @@ class TestEngine:
         res_b = least_squares_engine(lambda t, a, b: a * t + b, x, y, [1.0, 0.0],
                                      sigma=np.full(x.size, 0.2))
         assert res_a.params["p0"] == pytest.approx(res_b.params["p0"], abs=1e-9)
+        # Uncertainties are rescaled by SSR/dof, so a common sigma scale
+        # leaves them unchanged.
+        for factor in (0.1, 10.0):
+            res_c = least_squares_engine(lambda t, a, b: a * t + b, x, y,
+                                         [1.0, 0.0],
+                                         sigma=np.full(x.size, 0.1 * factor))
+            assert res_c.sigmas == pytest.approx(res_a.sigmas, rel=1e-6)
 
     def test_nonfinite_data_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -162,6 +171,14 @@ class TestG2PulsedFit:
         h = TestG2CwFit().make_histogram(0.1, 0.2)
         with pytest.raises(InvalidParameter):
             fit_g2_pulsed(h, tau_o_fixed=0.0)
+
+    def test_other_model_normalization_rejected(self):
+        h = TestG2CwFit().make_histogram(0.1, 0.2)
+        for fit, other in ((fit_g2_cw, "pulsed"),
+                           (lambda h: fit_g2_pulsed(h, tau_o_fixed=6.0), "cw")):
+            with pytest.raises(InvalidParameter, match="pipeline"):
+                fit(replace(h, normalization=other))
+        assert fit_g2_cw(replace(h, normalization="cw")).converged
 
 
 class TestSaturationFit:

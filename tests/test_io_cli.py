@@ -89,10 +89,64 @@ class TestHistogramCsv:
                                  norm=norm, norm_err=err)
         path = tmp_path / "hist.csv"
         fio.write_histogram_csv(path, h)
-        back = fio.read_histogram_csv(path, duration=1e6)
+        back = fio.read_histogram_csv(path)
+        assert back.duration == 1e6
+        assert back.window == 10.0
         assert np.array_equal(back.counts, counts)
-        assert np.allclose(back.bin_edges, edges, atol=1e-6)
-        assert np.allclose(back.norm, norm, rtol=1e-8)
+        assert np.allclose(back.bin_edges, edges, rtol=0, atol=1e-12)
+        assert np.array_equal(back.norm, norm)
+        assert np.array_equal(back.norm_err, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bin_width=st.floats(1e-3, 1e3), bins_per_side=st.integers(1, 300),
+           window_excess=st.floats(0.0, 0.49), duration=st.floats(1e-3, 1e15),
+           flags=st.lists(st.text(max_size=12), max_size=3),
+           normalization=st.sampled_from([None, "raw", "cw", "pulsed"]),
+           scale=st.floats(1e-300, 1e300), seed=st.integers(0, 2**32 - 1))
+    @example(bin_width=1 / 3, bins_per_side=300, window_excess=0.0,
+             duration=1e7, flags=["low-statistics"], normalization="cw",
+             scale=1e-3, seed=0)
+    def test_round_trip_is_lossless(self, bin_width, bins_per_side,
+                                    window_excess, duration, flags,
+                                    normalization, scale, seed):
+        """normalization None is an unnormalized histogram; "raw" has norm
+        values but no recorded normalization model."""
+        window = (bins_per_side + window_excess) * bin_width
+        edges = make_edges(window, bin_width)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1000, edges.size - 1)
+        norm = err = None
+        if normalization is not None:
+            norm, err = rng.random((2, counts.size)) * scale
+        h = CoincidenceHistogram(
+            edges, counts, int(counts.sum()), window, duration, norm=norm,
+            norm_err=err, flags=flags,
+            normalization=None if normalization == "raw" else normalization)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "hist.csv"
+            fio.write_histogram_csv(path, h)
+            back = fio.read_histogram_csv(path)
+        assert np.allclose(back.bin_edges, edges, rtol=0, atol=1e-9 * bin_width)
+        assert np.array_equal(back.counts, h.counts)
+        assert back.total_pairs == h.total_pairs
+        for name in ("norm", "norm_err"):
+            if getattr(h, name) is None:
+                assert getattr(back, name) is None
+            else:
+                assert np.array_equal(getattr(back, name), getattr(h, name))
+        assert (back.window, back.duration, back.flags, back.normalization) \
+            == (h.window, h.duration, h.flags, h.normalization)
+
+    def test_fallback_without_sidecar(self, tmp_path):
+        edges = make_edges(5.0, 0.5)
+        h = CoincidenceHistogram(edges, np.ones(20, dtype=np.int64), 20, 5.2,
+                                 1e3, flags=["low-statistics"])
+        path = tmp_path / "hist.csv"
+        fio.write_histogram_csv(path, h)
+        fio.sidecar_path(path).unlink()
+        back = fio.read_histogram_csv(path)
+        assert (back.window, back.duration, back.flags, back.normalization) \
+            == (5.0, 1.0, [], None)
 
     def test_unnormalized_round_trip(self, tmp_path):
         edges = make_edges(5.0, 1.0)
@@ -168,6 +222,27 @@ class TestCliCorrelate:
         h = fio.read_histogram_csv(tmp_path / "histogram.csv")
         assert h.counts.sum() > 0
         assert h.norm is not None
+        assert (h.window, h.duration, h.normalization) == (100.0, 5e5, "cw")
+
+    def test_third_of_a_ns_bins_fit(self, tmp_path):
+        stream = self._simulate(tmp_path)
+        assert main(["correlate", str(stream), "--window", "100",
+                     "--bin", "0.3333333333333333", "--out", str(tmp_path)]) == 0
+        assert main(["fit", str(tmp_path / "histogram.csv"), "--model", "cw",
+                     "--out", str(tmp_path)]) == 0
+
+    def test_integrate_peaks_report(self, tmp_path):
+        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3", "--pulsed",
+                     "--tau-o", "6", "--period", "100", "--duration", "1e5",
+                     "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert main(["correlate", str(tmp_path / "stream.csv"), "--window", "1000",
+                     "--integrate-peaks", "--period", "100",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "histogram.peaks.json").read_text())
+        assert sorted(report) == ["background_per_bin", "g2_int", "g2_int_sigma",
+                                  "peak_halfwidth", "period", "side_peak_sums",
+                                  "zero_peak_sum"]
+        assert (report["peak_halfwidth"], report["period"]) == (17.5, 100.0)
 
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -224,6 +299,22 @@ class TestCliFit:
         fio.write_histogram_csv(hist, h)
         assert main(["fit", str(hist), "--model", "pulsed",
                      "--out", str(tmp_path)]) == 2
+
+    def test_pulsed_fit_of_cw_normalized_histogram_exits_2(self, tmp_path, capsys):
+        """`correlate` normalizes for the cw model; a pulsed fit of its output
+        would pin g2_0 and w_p at their bounds."""
+        assert main(["simulate", "--wp", "1.3", "--gamma", "2.0", "--pulsed",
+                     "--tau-o", "6", "--period", "100", "--duration", "1e6",
+                     "--seed", "0", "--background-rate", "0.00268",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["correlate", str(tmp_path / "stream.csv"), "--window", "450",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(tmp_path / "histogram.csv"), "--model", "pulsed",
+                     "--tau-o", "6", "--fit-halfwidth", "49",
+                     "--out", str(tmp_path)]) == 2
+        assert "pipeline" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestCliGeometry:
@@ -339,3 +430,9 @@ class TestCliPipeline:
         assert report["converged"]
         assert report["params"]["rho"] == pytest.approx(rho, abs=0.03)
         assert 0.1 <= report["params"]["g2_exp_0"] <= 0.3
+        # The pulsed-normalized histogram file refits to the same report.
+        assert main(["fit", str(tmp_path / "out" / "histogram.csv"),
+                     "--model", "pulsed", "--tau-o", "6", "--fit-halfwidth", "49",
+                     "--out", str(tmp_path / "refit")]) == 0
+        assert ((tmp_path / "refit" / "fit.json").read_bytes()
+                == (tmp_path / "out" / "fit.json").read_bytes())
