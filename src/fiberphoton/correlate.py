@@ -1,14 +1,18 @@
 """Coincidence histograms from pairs of timestamp streams.
 
 Builds the full cross-correlation histogram (every pair within the delay
-window) with a two-pointer sweep, normalizes it against the uncorrelated
+window) with a blocked sweep, normalizes it against the uncorrelated
 expectation, and integrates pulse-train peaks with background subtraction.
-Histogram counts are integers, and chunked (parallel) construction sums
-partial integer histograms, so results are bit-identical for any chunk count.
+The sweep bins the pairs in blocks of at most _PAIR_BLOCK pairs, so its
+memory is O(N + bins) in the number of events N and does not grow with the
+number of pairs.  Histogram counts are integers, and chunked (parallel)
+construction sums partial integer histograms on at most os.cpu_count()
+threads, so results are bit-identical for any chunk count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -25,6 +29,9 @@ DEFAULT_PULSED_WINDOW = 1000.0
 DEFAULT_BIN_WIDTH = 1.0
 #: Default peak integration half-width (ns), ~35 ns total per peak.
 DEFAULT_PEAK_HALFWIDTH = 17.5
+#: Most pairs whose delays are held at once (~24 B each while binned); a
+#: start with more pairs than this is binned alone.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass
@@ -76,10 +83,15 @@ def _check_stream(s: TimestampStream, name: str):
 
 
 def make_edges(window: float, bin_width: float) -> np.ndarray:
-    """Uniform symmetric bin edges covering [-window, window]."""
+    """Uniform symmetric bin edges covering at most [-window, window].
+
+    The number of bins per side is window / bin_width rounded down (with a
+    1e-9 relative tolerance), so no bin reaches past the window, where pairs
+    are cut and an outer bin would be only partly filled.
+    """
     if window <= 0 or bin_width <= 0:
         raise InvalidParameter("window and bin_width must be > 0")
-    n_half = int(round(window / bin_width))
+    n_half = int(np.floor(window / bin_width * (1.0 + 1e-9)))
     if n_half < 1:
         raise InvalidParameter("window must cover at least one bin")
     return np.arange(-n_half, n_half + 1) * bin_width
@@ -87,19 +99,32 @@ def make_edges(window: float, bin_width: float) -> np.ndarray:
 
 def _partial_counts(t1: np.ndarray, t2: np.ndarray, window: float,
                     edges: np.ndarray) -> np.ndarray:
-    """Histogram of delays t2 - t1 for all pairs with |delay| <= window."""
+    """Histogram of delays t2 - t1 for all pairs with |delay| <= window.
+
+    Start i pairs with t2[lo[i]:hi[i]].  The starts are taken in blocks that
+    own at most _PAIR_BLOCK pairs together, and each block's delays are
+    binned and dropped before the next block is built.
+    """
     lo = np.searchsorted(t2, t1 - window, side="left")
-    hi = np.searchsorted(t2, t1 + window, side="right")
-    lens = hi - lo
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(edges.size - 1, dtype=np.int64)
-    # Flatten the ragged [lo[i], hi[i]) index ranges into one delay array.
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.repeat(lo - starts, lens) + np.arange(total)
-    delays = t2[idx] - np.repeat(t1, lens)
-    counts, _ = np.histogram(delays, bins=edges)
-    return counts.astype(np.int64)
+    lens = np.searchsorted(t2, t1 + window, side="right")
+    lens -= lo
+    ends = np.cumsum(lens)  # pairs owned by starts [0, i]
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    a = 0
+    while a < t1.size:
+        done = int(ends[a - 1]) if a else 0
+        b = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), a + 1)
+        total = int(ends[b - 1]) - done
+        if total:
+            # Flatten the ragged [lo[i], hi[i]) index ranges into one delay array.
+            n = lens[a:b]
+            idx = np.repeat(lo[a:b] - (ends[a:b] - n - done), n)
+            idx += np.arange(total)
+            delays = t2[idx]
+            delays -= np.repeat(t1[a:b], n)
+            counts += np.histogram(delays, bins=edges)[0]
+        a = b
+    return counts
 
 
 def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
@@ -108,9 +133,12 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
     """Full cross-correlation histogram of two streams.
 
     Counts every ordered pair (t1 in s1, t2 in s2) with |t2 - t1| <= window
-    using a searchsorted sweep, O(N * m) in the mean occupancy m per window.
+    using a searchsorted sweep, O(N * m) in time for the mean occupancy m per
+    window and O(N + bins) in memory: pairs are binned in blocks of at most
+    _PAIR_BLOCK, so memory does not grow with the number of pairs.
     Stream 1 may be partitioned into n_chunks contiguous chunks whose partial
     integer histograms are summed, so the result does not depend on n_chunks.
+    The chunks run on at most os.cpu_count() threads.
     """
     _check_stream(s1, "stream 1")
     _check_stream(s2, "stream 2")
@@ -131,7 +159,8 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
     if n_chunks == 1:
         partials = [_partial_counts(chunks[0], s2.times, window, edges)]
     else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        threads = min(n_chunks, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(
                 pool.map(lambda c: _partial_counts(c, s2.times, window, edges), chunks)
             )

@@ -1,8 +1,13 @@
 """Coincidence correlator against a brute-force all-pairs oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from fiberphoton import correlate
 from fiberphoton.correlate import (
     CoincidenceHistogram,
     background_coincidence_rate,
@@ -78,6 +83,86 @@ class TestBruteForceOracle:
             h = cross_correlate(s1, s2, window=100.0, bin_width=1.0, n_chunks=n)
             assert np.array_equal(h.counts, base.counts)
 
+    @pytest.mark.parametrize("block", [1, 3, 64, correlate._PAIR_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(t1=st.lists(st.integers(0, 4000), unique=True, max_size=40),
+           t2=st.lists(st.integers(0, 4000), unique=True, max_size=80),
+           window=st.floats(0.5, 60.0), bin_width=st.floats(0.1, 8.0))
+    # Each start owns 240 pairs, more than the small blocks hold.
+    @example(t1=[1000, 2500], t2=list(range(0, 4000, 4)), window=60.0,
+             bin_width=4.0)
+    # Delays -3, -1, 0, 1, 3 ns: on edges, both outermost edges included.
+    @example(t1=[1000], t2=[976, 992, 1000, 1008, 1024], window=3.0,
+             bin_width=1.0)
+    def test_block_size_is_invisible(self, block, t1, t2, window, bin_width):
+        """Any pair budget per block, over two chunks, gives the brute-force
+        counts and those of one chunk at the default budget.  Times are
+        multiples of 1/8 ns, so many delays fall exactly on bin edges."""
+        assume(1.0 <= window / bin_width <= 400)
+        s1 = stream(np.asarray(t1, float) / 8, 500.0, 1)
+        s2 = stream(np.asarray(t2, float) / 8, 500.0, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlate, "_PAIR_BLOCK", block)
+            h = cross_correlate(s1, s2, window=window, bin_width=bin_width,
+                                n_chunks=2)
+        expected = brute_force_counts(s1.times, s2.times, window, h.bin_edges)
+        assert np.array_equal(h.counts, expected)
+        single = cross_correlate(s1, s2, window=window, bin_width=bin_width,
+                                 n_chunks=1)
+        assert np.array_equal(h.counts, single.counts)
+
+    def test_start_beyond_default_block(self):
+        """A start that alone owns more pairs than _PAIR_BLOCK is binned in a
+        block of its own, next to starts that share one."""
+        block = correlate._PAIR_BLOCK
+        t2 = np.arange(1, block + 4097) * (100.0 / block)
+        s1 = stream([50.0, 100.5, 300.0], 400.0, 1)
+        s2 = stream(t2, 400.0, 2)
+        h = cross_correlate(s1, s2, window=60.0, bin_width=1.0)
+        expected = brute_force_counts(s1.times, s2.times, 60.0, h.bin_edges)
+        assert np.array_equal(h.counts, expected)
+        assert h.total_pairs > block
+
+    def test_memory_is_flat_in_pair_count(self):
+        """Four times the pairs (window 400 against 100 ns) keep the same peak:
+        memory is set by the events and the pair budget per block."""
+        rng = np.random.default_rng(37)
+        T = 4e6
+        t1 = np.unique(rng.uniform(0, T, 200_000))
+        t2 = np.unique(rng.uniform(0, T, 200_000))
+        s1, s2 = stream(t1, T, 1), stream(t2, T, 2)
+        peaks, pairs = [], []
+        for window in (100.0, 400.0):
+            tracemalloc.start()
+            try:
+                h = cross_correlate(s1, s2, window=window, bin_width=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+            pairs.append(h.total_pairs)
+        assert pairs[0] > correlate._PAIR_BLOCK
+        assert pairs[1] > 3.5 * pairs[0]
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert peaks[1] < 60.0
+
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        """n_chunks sets the partition, not the number of threads."""
+        seen = []
+        real = correlate.ThreadPoolExecutor
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(correlate, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(correlate.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(43)
+        s1, s2 = random_pair(rng)
+        h = cross_correlate(s1, s2, window=50.0, bin_width=1.0, n_chunks=64)
+        assert seen == [2]
+        base = cross_correlate(s1, s2, window=50.0, bin_width=1.0)
+        assert np.array_equal(h.counts, base.counts)
+
     def test_empty_input_flagged(self):
         s1 = stream([], 100.0, 1)
         s2 = stream([1.0, 2.0], 100.0, 2)
@@ -113,6 +198,22 @@ class TestNormalization:
         pulls = (hn.norm - 1.0) / hn.norm_err
         assert np.mean(np.abs(pulls) <= 3.0) >= 0.99
         assert abs(np.mean(hn.norm) - 1.0) < 0.05
+
+    def test_window_between_bin_edges_has_full_outer_bins(self):
+        """A window that is not a whole number of bins ends the edges inside
+        it, so the outer bins of a flat pair are not cut short (at 99.6 ns
+        with edges at +-100 they normalized to ~0.6)."""
+        rng = np.random.default_rng(47)
+        T = 2e7
+        r = 5e-3
+        t1 = np.unique(rng.uniform(0, T, rng.poisson(r * T)))
+        t2 = np.unique(rng.uniform(0, T, rng.poisson(r * T)))
+        s1, s2 = stream(t1, T, 1), stream(t2, T, 2)
+        hn = normalize_cw(cross_correlate(s1, s2, window=99.6, bin_width=1.0),
+                          s1.rate, s2.rate)
+        assert hn.bin_edges[-1] == 99.0 and hn.bin_edges[0] == -99.0
+        for k in (0, -1):
+            assert hn.norm[k] == pytest.approx(1.0, abs=5 * hn.norm_err[k])
 
     def test_normalize_requires_positive_rates(self):
         h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 0, 5.0, 1.0)
@@ -208,6 +309,7 @@ class TestHelpers:
         edges = make_edges(10.0, 1.0)
         assert edges[0] == -10.0 and edges[-1] == 10.0
         assert np.allclose(edges, -edges[::-1])
+        assert make_edges(100.0, 1 / 3).size == 601
         with pytest.raises(InvalidParameter):
             make_edges(-1.0, 1.0)
 
