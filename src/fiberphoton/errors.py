@@ -15,10 +15,6 @@ class DegenerateInput(FiberPhotonError, ValueError):
     undefined (rho = 0 inversion, g2_int <= g2_0, both rates zero, ...)."""
 
 
-class UnsortedInput(FiberPhotonError, ValueError):
-    """Timestamp data is not sorted ascending."""
-
-
 class InsufficientPeaks(FiberPhotonError, ValueError):
     """The histogram window does not contain enough pulse side peaks."""
 

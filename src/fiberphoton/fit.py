@@ -251,6 +251,9 @@ def _normalized(h: CoincidenceHistogram, model: str):
             f"a pulsed fit section writes a pulsed-normalized histogram)")
     if h.counts.size < 10:
         raise InvalidParameter("need at least 10 bins to fit")
+    if h.total_pairs == 0:
+        raise DegenerateInput("histogram holds no coincidence pairs to fit; "
+                              "widen the window or lengthen the acquisition")
     return h.centers, h.norm, h.norm_err
 
 

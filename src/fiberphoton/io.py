@@ -5,6 +5,12 @@ back bit for bit, and identical data produces byte-identical files.  A stream
 or histogram CSV has a JSON sidecar (`sidecar_path`) with what its rows do not
 hold: a stream's SimConfig, or a histogram's window, duration, flags and
 normalization.
+
+Stream CSVs hold millions of rows, so their rows skip the csv module: the
+writer joins the reprs of a block of times into one string, and the reader
+parses the whole body with one np.loadtxt call.  Only a file that loadtxt
+rejects, or that has a channel other than 1 or 2, is scanned row by row to
+report the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import warnings
 from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -27,24 +35,34 @@ SATURATION_HEADER = ["power_uW", "intensity_cps"]
 SWEEP_HEADER = ["x", "value"]
 
 
+def _body(fh, path, header):
+    """csv.reader over fh past its first row, which must be header; a wrong
+    header raises MalformedFile at line 1.  Cells are read unquoted, as the
+    writers write them and as np.loadtxt reads stream rows, so '"1"' is a
+    three-character cell."""
+    reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise MalformedFile(f"{path}: expected header {','.join(header)}",
+                            line=1)
+    return reader
+
+
 def _rows(path, header, parse):
     """Yield parse(row) for each non-empty row of a CSV that starts with header.
 
-    A wrong header, or a row that parse rejects with ValueError or
-    LookupError, raises MalformedFile with its line number.
+    A wrong header, a row that csv cannot split, or a row that parse
+    rejects with ValueError or LookupError raises MalformedFile with its
+    line number.
     """
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise MalformedFile(f"{path}: expected header {','.join(header)}",
-                                line=1)
+        reader = _body(fh, path, header)
         try:
             for row in reader:
                 if row:
                     yield parse(row)
-        except (ValueError, LookupError) as exc:
-            raise MalformedFile(f"{path}: bad row {row!r}",
+        except (ValueError, LookupError, csv.Error) as exc:
+            raise MalformedFile(f"{path}: bad row ({exc!r})",
                                 line=reader.line_num) from exc
 
 
@@ -73,37 +91,66 @@ def _sidecar(csv_path) -> dict:
     return json.loads(path.read_text()) if path.exists() else {}
 
 
+#: Times per fh.write: bounds the joined string at ~1.5 MB.
+_WRITE_BLOCK = 2**16
+
+
 def write_stream_csv(path, streams: tuple[TimestampStream, TimestampStream]):
-    """Write both channels into one CSV: header channel,time_ns."""
+    """Write both channels into one CSV: header channel,time_ns, then one
+    channel,repr(time) row per event, ended by CRLF as csv writes rows."""
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(STREAM_HEADER)
-        # One writelines per channel: about 20% faster than csv.writerows.
+        fh.write(",".join(STREAM_HEADER) + "\r\n")
         for s in streams:
-            fh.writelines(f"{s.channel},{t!r}\r\n" for t in s.times.tolist())
+            prefix = f"{s.channel},"
+            for i in range(0, s.times.size, _WRITE_BLOCK):
+                block = s.times[i:i + _WRITE_BLOCK].tolist()
+                fh.write(prefix + ("\r\n" + prefix).join(map(repr, block))
+                         + "\r\n")
 
 
-#: A lookup here instead of int() keeps million-row stream reads fast.
+#: A lookup here instead of int() keeps a channel cell exactly "1" or "2".
 _CHANNELS = {"1": 1, "2": 2}
+#: U2 keeps cells such as "12", "01", " 1" and "1." distinct from "1".
+_STREAM_DTYPE = [("channel", "U2"), ("time", "f8")]
 
 
 def _stream_row(row):
-    return _CHANNELS[row[0]], float(row[1])
+    channel, t = row
+    return _CHANNELS[channel], float(t)
+
+
+def _bad_stream_rows(path) -> NoReturn:
+    """Raise MalformedFile for a stream CSV that np.loadtxt rejected or that
+    holds a bad channel: the row scan names the line of the first bad row."""
+    for _ in _rows(path, STREAM_HEADER, _stream_row):
+        pass
+    raise MalformedFile(f"{path}: unreadable stream rows")
 
 
 def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
     """Read a two-channel stream CSV; duration is taken from the sidecar if
     present, else from the latest timestamp."""
-    times = {1: [], 2: []}
-    for channel, t in _rows(path, STREAM_HEADER, _stream_row):
-        times[channel].append(t)
+    with Path(path).open(newline="") as fh:
+        _body(fh, path, STREAM_HEADER)
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is two empty streams.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                              comments=None, dtype=_STREAM_DTYPE)
+    except ValueError:
+        _bad_stream_rows(path)
+    is_one = rows["channel"] == "1"
+    if not np.all(is_one | (rows["channel"] == "2")):
+        _bad_stream_rows(path)
     duration = _sidecar(path).get("duration")
     if duration is None:
-        hi = max((ts[-1] for ts in times.values() if ts), default=0.0)
+        hi = float(rows["time"].max()) if rows.size else 0.0
         duration = hi if hi > 0 else 1.0
     return tuple(
-        TimestampStream(channel=ch, times=np.sort(np.asarray(times[ch])),
+        TimestampStream(channel=ch, times=np.sort(rows["time"][mask]),
                         duration=duration)
-        for ch in (1, 2)
+        for ch, mask in ((1, is_one), (2, ~is_one))
     )
 
 

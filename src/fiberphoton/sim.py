@@ -89,16 +89,23 @@ class SimConfig:
             raise InvalidParameter(f"bad simulate config: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimestampStream:
-    """Sorted detection times (ns) of one channel over an acquisition."""
+    """Sorted detection times (ns) of one channel over an acquisition.
+
+    Immutable once checked: times is a read-only view of the given array, so
+    the stream cannot be unsorted through it while the caller's array stays
+    writable.
+    """
 
     channel: int
     times: np.ndarray
     duration: float
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        times = np.asarray(self.times, dtype=float).view()
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
         if self.channel not in (1, 2):
             raise InvalidParameter(f"channel must be 1 or 2, got {self.channel}")
         if self.times.size:

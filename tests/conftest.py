@@ -2,7 +2,12 @@
 them in the terminal summary so the pass/fail status of each criterion is
 visible in one place."""
 
+import numpy as np
+
 ACCEPTANCE_LINES = []
+
+#: np.trapezoid is numpy >= 2.0; np.trapz is its name on the 1.x floor.
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def record_criterion(number: int, passed: bool, detail: str):

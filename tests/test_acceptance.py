@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, trapezoid
 from fiberphoton.cli import main as cli_main
 from fiberphoton.correlate import (
     background_coincidence_rate,
@@ -92,8 +92,8 @@ def test_criterion_3_integrated_g2_self_consistency():
         tau_o = rng.uniform(2.0, 10.0)
         pulse = PulseParams(tau_o=tau_o, period=100.0 * tau_o)
         tau = np.linspace(0.0, 40.0 * tau_o, 100_001)
-        numeric = (np.trapezoid(g2_pulsed(p, pulse, tau), tau)
-                   / np.trapezoid(np.exp(-2.0 * tau / tau_o), tau))
+        numeric = (trapezoid(g2_pulsed(p, pulse, tau), tau)
+                   / trapezoid(np.exp(-2.0 * tau / tau_o), tau))
         worst = max(worst, abs(g2_integrated_zero(p, pulse) - numeric))
     width = pump_rate_from_integrated(0.31, 0.1, 6.0)
     elapsed = time.time() - t0

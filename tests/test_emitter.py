@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import trapezoid
 
 from fiberphoton.emitter import (
     BackgroundMix,
@@ -143,8 +144,8 @@ class TestIntegratedZero:
         """Ratio of envelope-weighted pulsed g2 integral to the bare envelope
         integral, on a dense grid — independent of the closed form."""
         tau = np.linspace(0.0, 40.0 * pulse.tau_o, 400_001)
-        num = np.trapezoid(g2_pulsed(p, pulse, tau), tau)
-        den = np.trapezoid(np.exp(-2.0 * tau / pulse.tau_o), tau)
+        num = trapezoid(g2_pulsed(p, pulse, tau), tau)
+        den = trapezoid(np.exp(-2.0 * tau / pulse.tau_o), tau)
         return num / den
 
     def test_matches_numerical_integration(self):

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,66 @@ class TestStreamCsv:
         path.write_text("channel,time_ns\n3,1.0\n")
         with pytest.raises(MalformedFile):
             fio.read_stream_csv(path)
+
+    def test_writer_bytes(self, tmp_path):
+        """CRLF rows of channel,repr(time), channel 1 first."""
+        streams = (
+            TimestampStream(channel=1, duration=1e17, times=[
+                0.0, 1 / 3, 5e8, float(np.nextafter(5e8, np.inf))]),
+            TimestampStream(channel=2, times=[2.5e-7, 1e16], duration=1e17),
+        )
+        path = tmp_path / "stream.csv"
+        fio.write_stream_csv(path, streams)
+        assert path.read_bytes() == (
+            b"channel,time_ns\r\n1,0.0\r\n1,0.3333333333333333\r\n"
+            b"1,500000000.0\r\n1,500000000.00000006\r\n"
+            b"2,2.5e-07\r\n2,1e+16\r\n")
+
+    def test_round_trip_across_write_blocks(self, tmp_path):
+        """2**16 + 1 events per channel: one more than a write block."""
+        rng = np.random.default_rng(5)
+        n = 2**16 + 1
+        streams = tuple(
+            TimestampStream(channel=ch, duration=1e9,
+                            times=np.cumsum(rng.uniform(1e-3, 1e4, n)))
+            for ch in (1, 2))
+        path = tmp_path / "stream.csv"
+        fio.write_stream_csv(path, streams)
+        assert path.read_bytes().count(b"\r\n") == 2 * n + 1
+        back = fio.read_stream_csv(path)
+        for orig, rt in zip(streams, back):
+            assert np.array_equal(rt.times, orig.times)
+
+    @pytest.mark.parametrize("body, line", [
+        ("1,1.0\r\n3,2.0\r\n", 3),
+        ("01,1.0\r\n", 2),
+        (" 1,1.0\r\n", 2),
+        ("1.0,1.0\r\n", 2),
+        ("2,1.0\r\n12,2.0\r\n", 3),
+        ('"1",1.0\r\n', 2),
+        ("1,1.0\r\n2,1.0e\r\n", 3),
+        ("1,1.0,2.0\r\n", 2),
+        ("1,1.0\r\n2\r\n", 3),
+        ("1,1.0\r\n\r\n2,bad\r\n", 4),
+        ("1,1.0\r\n" + "1" * 200_000 + ",2.0\r\n", 3),
+    ], ids=["channel-3", "channel-01", "channel-space-1", "channel-1.0",
+            "channel-12", "quoted-channel", "bad-float", "three-columns",
+            "one-column", "after-blank-line", "oversized-cell"])
+    def test_malformed_stream_row_reports_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("channel,time_ns\r\n" + body).encode())
+        with pytest.raises(MalformedFile) as err:
+            fio.read_stream_csv(path)
+        assert err.value.line == line
+
+    def test_header_only_is_two_empty_streams(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"channel,time_ns\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = fio.read_stream_csv(path)
+        assert [(s.channel, s.times.size, s.duration) for s in back] == [
+            (1, 0, 1.0), (2, 0, 1.0)]
 
 
 class TestHistogramCsv:
@@ -315,6 +376,33 @@ class TestCliFit:
                      "--out", str(tmp_path)]) == 2
         assert "pipeline" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+
+    def test_readme_example_without_pairs_exits_2(self, tmp_path, capsys):
+        """A millisecond emitter correlated in a 100-ns window for 1 s has
+        no pairs; a fit of them would report g2_0 = 0 from no data."""
+        assert main(["simulate", "--wp", "1e-3", "--gamma", "1e-6",
+                     "--duration", "1e9", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["correlate", str(tmp_path / "stream.csv"), "--window", "100",
+                     "--out", str(tmp_path)]) == 0
+        assert fio.read_histogram_csv(tmp_path / "histogram.csv").total_pairs == 0
+        capsys.readouterr()
+        assert main(["fit", str(tmp_path / "histogram.csv"), "--model", "cw",
+                     "--out", str(tmp_path)]) == 2
+        assert "no coincidence pairs" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("model", ["cw", "pulsed"])
+    def test_fit_of_empty_histogram_exits_2(self, tmp_path, capsys, model):
+        edges = make_edges(50.0, 1.0)
+        zeros = np.zeros(edges.size - 1)
+        h = CoincidenceHistogram(edges, zeros.astype(np.int64), 0, 50.0, 1e6,
+                                 norm=zeros, norm_err=np.ones_like(zeros),
+                                 normalization=model)
+        fio.write_histogram_csv(tmp_path / "h.csv", h)
+        assert main(["fit", str(tmp_path / "h.csv"), "--model", model,
+                     "--tau-o", "6", "--out", str(tmp_path)]) == 2
+        assert "no coincidence pairs" in capsys.readouterr().err
 
 
 class TestCliGeometry:
