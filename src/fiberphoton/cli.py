@@ -74,6 +74,9 @@ def cmd_simulate(args) -> int:
 
 
 def _load_streams(paths):
+    if len(paths) > 2:
+        raise FiberPhotonError(
+            f"correlate takes one two-channel CSV or two CSVs, not {len(paths)}")
     if len(paths) == 1:
         return fio.read_stream_csv(paths[0])
     return fio.read_stream_csv(paths[0])[0], fio.read_stream_csv(paths[1])[1]
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FiberPhotonError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail(EXIT_CONFIG, f"bad configuration: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))

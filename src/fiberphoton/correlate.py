@@ -22,9 +22,8 @@ import numpy as np
 from .errors import DegenerateInput, InsufficientPeaks, InvalidParameter
 from .sim import TimestampStream
 
-#: Default delay windows (ns): cw dip analysis and pulsed-train analysis.
+#: Default delay window (ns) of the cw dip analysis.
 DEFAULT_CW_WINDOW = 100.0
-DEFAULT_PULSED_WINDOW = 1000.0
 #: Default histogram bin width (ns): resolves few-ns antibunching dips.
 DEFAULT_BIN_WIDTH = 1.0
 #: Default peak integration half-width (ns), ~35 ns total per peak.
@@ -38,17 +37,15 @@ _PAIR_BLOCK = 1 << 20
 class CoincidenceHistogram:
     """Binned delay-time coincidences between two detector channels.
 
-    bin_edges are uniform and symmetric about zero delay; counts[k] is the
-    number of pairs with delay t2 - t1 in bin k.  norm/norm_err are filled by
-    a normalization step, which records its model ('cw' or 'pulsed') in
-    normalization.  flags carries quality markers such as 'empty-input' or
-    'low-statistics'.
+    bin_edges are uniform; they alone give the delay extent.  counts[k] is
+    the number of pairs with delay t2 - t1 in bin k, and total_pairs their
+    sum.  norm/norm_err are filled by a normalization step, which records its
+    model ('cw' or 'pulsed') in normalization.  flags carries quality markers
+    such as 'empty-input' or 'low-statistics'.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total_pairs: int
-    window: float
     duration: float
     norm: Optional[np.ndarray] = None
     norm_err: Optional[np.ndarray] = None
@@ -67,6 +64,10 @@ class CoincidenceHistogram:
             raise InvalidParameter("bin width must be uniform")
         if widths.size and widths[0] <= 0:
             raise InvalidParameter("bin width must be positive")
+
+    @property
+    def total_pairs(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def bin_width(self) -> float:
@@ -140,12 +141,6 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
             f"stream durations differ: {s1.duration} vs {s2.duration}"
         )
     edges = make_edges(window, bin_width)
-    flags = []
-    if s1.times.size == 0 or s2.times.size == 0:
-        flags.append("empty-input")
-        counts = np.zeros(edges.size - 1, dtype=np.int64)
-        return CoincidenceHistogram(edges, counts, 0, window, s1.duration, flags=flags)
-
     n_chunks = max(1, int(n_chunks))
     bounds = np.linspace(0, s1.times.size, n_chunks + 1).astype(int)
     chunks = [s1.times[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -158,13 +153,30 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                 pool.map(lambda c: _partial_counts(c, s2.times, window, edges), chunks)
             )
     counts = np.sum(partials, axis=0, dtype=np.int64)
-    return CoincidenceHistogram(
-        edges, counts, int(counts.sum()), window, s1.duration, flags=flags
-    )
+    empty = s1.times.size == 0 or s2.times.size == 0
+    return CoincidenceHistogram(edges, counts, s1.duration,
+                                flags=["empty-input"] if empty else [])
 
 
-def normalize_cw(h: CoincidenceHistogram, rate1: float, rate2: float,
-                 duration: Optional[float] = None) -> CoincidenceHistogram:
+def _side_peaks(h: CoincidenceHistogram, period: float,
+                halfwidth: float) -> list[tuple[int, np.ndarray]]:
+    """(k, bin mask) in ascending k of each side peak k*period +- halfwidth,
+    k != 0, that lies whole inside h.bin_edges; a bin belongs to a peak when
+    its centre does.  Raises InsufficientPeaks when there is none.
+    """
+    # 1e-9 periods of slack keeps a peak that ends on the outer edge.
+    k_lo = int(np.ceil((h.bin_edges[0] + halfwidth) / period - 1e-9))
+    k_hi = int(np.floor((h.bin_edges[-1] - halfwidth) / period + 1e-9))
+    ks = [k for k in range(k_lo, k_hi + 1) if k != 0]
+    if not ks:
+        raise InsufficientPeaks(f"no side peak k*{period:g} +- {halfwidth:g} ns "
+                                f"lies whole inside the bin edges")
+    centers = h.centers
+    return [(k, np.abs(centers - k * period) <= halfwidth) for k in ks]
+
+
+def normalize_cw(h: CoincidenceHistogram, rate1: float,
+                 rate2: float) -> CoincidenceHistogram:
     """Normalize by the uncorrelated expectation rate1*rate2*bin_width*duration.
 
     rate1/rate2 are per-channel event rates in events/ns.  Poissonian input
@@ -173,8 +185,7 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float, rate2: float,
     """
     if rate1 <= 0 or rate2 <= 0:
         raise DegenerateInput("per-channel rates must be > 0 to normalize")
-    T = h.duration if duration is None else duration
-    denom = rate1 * rate2 * h.bin_width * T
+    denom = rate1 * rate2 * h.bin_width * h.duration
     norm = h.counts / denom
     err = np.sqrt(np.maximum(h.counts, 1)) / denom
     flags = list(h.flags)
@@ -186,8 +197,7 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float, rate2: float,
 
 def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
                      signal_rates: tuple[float, float],
-                     background_rates: tuple[float, float],
-                     duration: Optional[float] = None) -> CoincidenceHistogram:
+                     background_rates: tuple[float, float]) -> CoincidenceHistogram:
     """Normalize a pulse-train histogram into background-mixed g2 form.
 
     The pulsed coincidence profile is a flat accidental floor (background and
@@ -197,29 +207,21 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
         g2_exp(tau) = 1 - rho^2 + rho^2 * e(tau) * g2(tau),
     directly fittable by the pulsed model.  The peak height scale is taken
     from the side peaks (which carry no antibunching) by projecting their
-    excess onto the model envelope e(tau) = exp(-2|tau|/tau_o); rho comes from
-    the supplied per-channel signal and background rates, which are the
-    experimentally accessible singles rates.
+    excess onto the model envelope e(tau) = exp(-2|tau|/tau_o) in each side
+    peak k*period +- period/2 that the bin edges hold whole; rho comes from
+    the supplied per-channel singles rates of signal and background.
     """
     r1, r2 = signal_rates
     b1, b2 = background_rates
     if r1 <= 0 or r2 <= 0:
         raise DegenerateInput("signal rates must be > 0")
-    T = h.duration if duration is None else duration
     rho2 = (r1 * r2) / ((r1 + b1) * (r2 + b2))
-    floor = ((r1 + b1) * (r2 + b2) - r1 * r2) * h.bin_width * T
+    floor = ((r1 + b1) * (r2 + b2) - r1 * r2) * h.bin_width * h.duration
 
     centers = h.centers
     excess = h.counts - floor
-    k_max = int(np.floor((h.window - 0.5 * period) / period))
-    if k_max < 1:
-        raise InsufficientPeaks(
-            "window must contain at least one side peak each side to "
-            "normalize a pulsed histogram"
-        )
     heights = []
-    for k in list(range(-k_max, 0)) + list(range(1, k_max + 1)):
-        sel = np.abs(centers - k * period) <= period / 2.0
+    for k, sel in _side_peaks(h, period, period / 2.0):
         env = np.exp(-2.0 * np.abs(centers[sel] - k * period) / tau_o)
         heights.append(float(np.dot(excess[sel], env) / np.dot(env, env)))
     peak_scale = float(np.mean(heights))
@@ -254,28 +256,17 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
                     background_per_bin: float = 0.0) -> PeakIntegration:
     """Integrate the zero-delay peak against the pulse-train side peaks.
 
-    Sums counts within +-peak_halfwidth of each multiple of the period inside
-    the window, subtracts the expected uncorrelated background per peak, and
-    returns the zero-peak to mean-side-peak ratio.
+    Sums counts within +-peak_halfwidth of zero delay and of every side peak
+    that the bin edges hold whole, subtracts the expected uncorrelated
+    background per peak, and returns the zero-peak to mean-side-peak ratio.
     """
     if peak_halfwidth > period / 2.0:
         raise InvalidParameter("peak_halfwidth must be <= period/2")
-    centers = h.centers
-    k_max = int(np.floor((h.window - peak_halfwidth) / period))
-    side_ks = [k for k in range(-k_max, k_max + 1) if k != 0]
-    if len(side_ks) < 2:
-        raise InsufficientPeaks(
-            f"window {h.window} ns holds {len(side_ks)} side peaks; need >= 2"
-        )
-
-    def peak_sum(k):
-        sel = np.abs(centers - k * period) <= peak_halfwidth
-        return int(h.counts[sel].sum()), int(np.count_nonzero(sel))
-
-    zero_sum, nbins = peak_sum(0)
-    side = [peak_sum(k) for k in side_ks]
-    bg_per_peak = background_per_bin * nbins
-    side_sums = [s for s, _ in side]
+    side_sums = [int(h.counts[sel].sum())
+                 for _, sel in _side_peaks(h, period, peak_halfwidth)]
+    zero = np.abs(h.centers) <= peak_halfwidth
+    zero_sum = int(h.counts[zero].sum())
+    bg_per_peak = background_per_bin * int(np.count_nonzero(zero))
     side_mean = float(np.mean(side_sums)) - bg_per_peak
     if side_mean <= 0:
         raise DegenerateInput("side peaks vanish after background subtraction")

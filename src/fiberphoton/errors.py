@@ -16,7 +16,7 @@ class DegenerateInput(FiberPhotonError, ValueError):
 
 
 class InsufficientPeaks(FiberPhotonError, ValueError):
-    """The histogram window does not contain enough pulse side peaks."""
+    """The histogram's bin edges hold no whole pulse side peak."""
 
 
 class MalformedFile(FiberPhotonError, ValueError):

@@ -42,16 +42,6 @@ class FitResult:
     iterations: int
     flags: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "sigmas": self.sigmas,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "flags": self.flags,
-        }
-
 
 @dataclass(frozen=True)
 class SaturationParams:
@@ -74,15 +64,14 @@ class SaturationParams:
 
 
 def finite_difference_jacobian(residual: Callable, p: np.ndarray,
-                               r0: Optional[np.ndarray] = None,
-                               rel_step: float = _FD_REL_STEP) -> np.ndarray:
+                               r0: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward-difference Jacobian of a residual vector function."""
     p = np.asarray(p, dtype=float)
     if r0 is None:
         r0 = residual(p)
     J = np.empty((r0.size, p.size))
     for j in range(p.size):
-        h = rel_step * max(abs(p[j]), 1.0)
+        h = _FD_REL_STEP * max(abs(p[j]), 1.0)
         pj = p.copy()
         pj[j] += h
         J[:, j] = (residual(pj) - r0) / h
@@ -95,9 +84,7 @@ def _clip(p: np.ndarray, bounds) -> np.ndarray:
 
 
 def levenberg_marquardt(residual: Callable, p0: Sequence[float],
-                        bounds=None, max_iter: int = MAX_ITERATIONS,
-                        step_tol: float = STEP_TOL,
-                        grad_tol: float = GRAD_TOL):
+                        bounds=None, max_iter: int = MAX_ITERATIONS):
     """Minimize ||residual(p)||^2 by damped Gauss-Newton iteration.
 
     The normal equations are damped as (J^T J + lam * diag(J^T J)) dp = -J^T r
@@ -129,7 +116,7 @@ def levenberg_marquardt(residual: Callable, p0: Sequence[float],
         # the remaining parameters instead of being corrupted by clipping.
         pinned = ((p <= bounds[0]) & (g > 0)) | ((p >= bounds[1]) & (g < 0))
         free = ~pinned
-        if not free.any() or np.linalg.norm(g[free], ord=np.inf) < grad_tol:
+        if not free.any() or np.linalg.norm(g[free], ord=np.inf) < GRAD_TOL:
             converged = True
             break
         Jf = J[:, free]
@@ -158,7 +145,7 @@ def levenberg_marquardt(residual: Callable, p0: Sequence[float],
                 # Stop on a negligible step or a negligible SSR gain (the
                 # latter catches parameters pinned at a bound, where the
                 # gradient never vanishes).
-                if rel_step < step_tol or improvement <= SSR_TOL * max(ssr, 1e-300):
+                if rel_step < STEP_TOL or improvement <= SSR_TOL * max(ssr, 1e-300):
                     converged = True
                 break
             lam *= 10.0
@@ -241,7 +228,10 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
     )
 
 
-def _normalized(h: CoincidenceHistogram, model: str):
+def _normalized(h: CoincidenceHistogram, model: str,
+                fit_halfwidth: Optional[float]):
+    """(tau, g2, err) of a histogram normalized for model, restricted to
+    |tau| <= fit_halfwidth when it is given; err may be None."""
     if h.norm is None:
         raise InvalidParameter("histogram must be normalized before fitting")
     if h.normalization not in (None, model):
@@ -254,7 +244,12 @@ def _normalized(h: CoincidenceHistogram, model: str):
     if h.total_pairs == 0:
         raise DegenerateInput("histogram holds no coincidence pairs to fit; "
                               "widen the window or lengthen the acquisition")
-    return h.centers, h.norm, h.norm_err
+    tau, y, err = h.centers, h.norm, h.norm_err
+    if fit_halfwidth is not None:
+        sel = np.abs(tau) <= fit_halfwidth
+        tau, y = tau[sel], y[sel]
+        err = err[sel] if err is not None else None
+    return tau, y, err
 
 
 def _flat_histogram(y, err) -> bool:
@@ -278,11 +273,7 @@ def fit_g2_cw(h: CoincidenceHistogram,
     Reports g2_0 and w_p (plus the derived dip width 2/w_p).  A flat
     histogram leaves w_p unidentifiable and is flagged 'degenerate-data'.
     """
-    tau, y, err = _normalized(h, "cw")
-    if fit_halfwidth is not None:
-        sel = np.abs(tau) <= fit_halfwidth
-        tau, y = tau[sel], y[sel]
-        err = err[sel] if err is not None else None
+    tau, y, err = _normalized(h, "cw", fit_halfwidth)
 
     flat = _flat_histogram(y, err)
     g0_init = float(np.clip(np.min(y), 0.0, 1.4))
@@ -325,11 +316,7 @@ def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
     """
     if tau_o_fixed <= 0:
         raise InvalidParameter("tau_o_fixed must be > 0")
-    tau, y, err = _normalized(h, "pulsed")
-    if fit_halfwidth is not None:
-        sel = np.abs(tau) <= fit_halfwidth
-        tau, y = tau[sel], y[sel]
-        err = err[sel] if err is not None else None
+    tau, y, err = _normalized(h, "pulsed", fit_halfwidth)
 
     floor = float(np.median(y[np.abs(tau) > 5.0 * tau_o_fixed])) \
         if np.any(np.abs(tau) > 5.0 * tau_o_fixed) else float(np.min(y))

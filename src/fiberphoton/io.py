@@ -3,14 +3,16 @@
 Every float is written as its shortest round-trip repr, so every table reads
 back bit for bit, and identical data produces byte-identical files.  A stream
 or histogram CSV has a JSON sidecar (`sidecar_path`) with what its rows do not
-hold: a stream's SimConfig, or a histogram's window, duration, flags and
-normalization.
+hold: a stream's SimConfig, or a histogram's duration, flags and
+normalization.  A histogram's extent is its bin edges, which the reader
+rebuilds from the bin centres.  Every reader raises MalformedFile for input
+that does not match its format, bytes that are not UTF-8 included.
 
 Stream CSVs hold millions of rows, so their rows skip the csv module: the
 writer joins the reprs of a block of times into one string, and the reader
 parses the whole body with one np.loadtxt call.  Only a file that loadtxt
-rejects, or that has a channel other than 1 or 2, is scanned row by row to
-report the line of the first bad row.
+rejects, that has a channel other than 1 or 2, or that holds a NUL byte is
+scanned row by row to report the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import dataclasses
 import json
 import warnings
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
@@ -41,7 +44,10 @@ def _body(fh, path, header):
     writers write them and as np.loadtxt reads stream rows, so '"1"' is a
     three-character cell."""
     reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
-    first = next(reader, None)
+    try:
+        first = next(reader, None)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if first is None or [h.strip() for h in first] != header:
         raise MalformedFile(f"{path}: expected header {','.join(header)}",
                             line=1)
@@ -53,14 +59,17 @@ def _rows(path, header, parse):
 
     A wrong header, a row that csv cannot split, or a row that parse
     rejects with ValueError or LookupError raises MalformedFile with its
-    line number.
+    line number.  Bytes that are not UTF-8 raise MalformedFile without one:
+    the text is decoded in blocks, so their line is not known.
     """
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = _body(fh, path, header)
         try:
             for row in reader:
                 if row:
                     yield parse(row)
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except (ValueError, LookupError, csv.Error) as exc:
             raise MalformedFile(f"{path}: bad row ({exc!r})",
                                 line=reader.line_num) from exc
@@ -88,7 +97,10 @@ def sidecar_path(csv_path) -> Path:
 def _sidecar(csv_path) -> dict:
     """The JSON sidecar of a CSV, or {} when it has none."""
     path = sidecar_path(csv_path)
-    return json.loads(path.read_text()) if path.exists() else {}
+    try:
+        return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise MalformedFile(f"{path}: not UTF-8 JSON ({exc})") from exc
 
 
 #: Times per fh.write: bounds the joined string at ~1.5 MB.
@@ -119,6 +131,13 @@ def _stream_row(row):
     return _CHANNELS[channel], float(t)
 
 
+def _holds_nul(path) -> bool:
+    """Whether the file holds a NUL byte, read in 1 MiB blocks.  np.loadtxt
+    drops trailing NULs from a U2 cell, so it reads "1\\0" as "1"."""
+    with Path(path).open("rb") as fh:
+        return any(b"\0" in block for block in iter(partial(fh.read, 1 << 20), b""))
+
+
 def _bad_stream_rows(path) -> NoReturn:
     """Raise MalformedFile for a stream CSV that np.loadtxt rejected or that
     holds a bad channel: the row scan names the line of the first bad row."""
@@ -130,7 +149,7 @@ def _bad_stream_rows(path) -> NoReturn:
 def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
     """Read a two-channel stream CSV; duration is taken from the sidecar if
     present, else from the latest timestamp."""
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         _body(fh, path, STREAM_HEADER)
     try:
         with warnings.catch_warnings():
@@ -141,7 +160,7 @@ def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
     except ValueError:
         _bad_stream_rows(path)
     is_one = rows["channel"] == "1"
-    if not np.all(is_one | (rows["channel"] == "2")):
+    if not np.all(is_one | (rows["channel"] == "2")) or _holds_nul(path):
         _bad_stream_rows(path)
     duration = _sidecar(path).get("duration")
     if duration is None:
@@ -161,11 +180,10 @@ def write_sim_sidecar(path, cfg: SimConfig):
 
 def write_histogram_csv(path, h: CoincidenceHistogram):
     """Histogram CSV tau_ns,counts,g2,norm_err (g2 and norm_err empty when
-    unnormalized), and its sidecar with window, duration, flags and
-    normalization."""
+    unnormalized), and its sidecar with duration, flags and normalization."""
     _write_table(path, HISTOGRAM_HEADER, (h.centers, h.counts, h.norm, h.norm_err))
     _write_json(sidecar_path(path), {
-        "window": h.window, "duration": h.duration, "flags": h.flags,
+        "duration": h.duration, "flags": h.flags,
         "normalization": h.normalization,
     })
 
@@ -181,8 +199,8 @@ def _optional_column(values):
 
 def read_histogram_csv(path) -> CoincidenceHistogram:
     """Read a histogram CSV and its sidecar.  Bin edges are rebuilt from the
-    centres.  Without a sidecar the window is the outermost edge and the
-    duration 1.0, with no flags and no normalization."""
+    centres and give the delay extent.  Without a sidecar the duration is
+    1.0, with no flags and no normalization."""
     rows = list(_rows(path, HISTOGRAM_HEADER, _histogram_row))
     if len(rows) < 2:
         raise MalformedFile(f"{path}: need at least two bins")
@@ -194,8 +212,6 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
     return CoincidenceHistogram(
         bin_edges=edges,
         counts=counts,
-        total_pairs=sum(counts),
-        window=meta.get("window", float(np.abs(edges).max())),
         duration=meta.get("duration", 1.0),
         norm=_optional_column(norm),
         norm_err=_optional_column(err),
@@ -219,7 +235,8 @@ def write_sweep_csv(path, x, values):
 
 
 def write_fit_report(path, result):
-    _write_json(path, result.to_dict())
+    """JSON report of a FitResult."""
+    _write_json(path, dataclasses.asdict(result))
 
 
 def write_peaks_report(path, peaks):

@@ -164,12 +164,15 @@ class TestBruteForceOracle:
         assert np.array_equal(h.counts, base.counts)
 
     def test_empty_input_flagged(self):
-        s1 = stream([], 100.0, 1)
-        s2 = stream([1.0, 2.0], 100.0, 2)
-        h = cross_correlate(s1, s2, window=10.0)
-        assert h.total_pairs == 0
-        assert np.all(h.counts == 0)
-        assert "empty-input" in h.flags
+        empty, full = stream([], 100.0, 1), stream([1.0, 2.0], 100.0, 2)
+        for s1, s2, n_chunks in ((empty, full, 1), (full, empty, 1),
+                                 (empty, empty, 1), (full, empty, 2)):
+            h = cross_correlate(s1, s2, window=10.0, n_chunks=n_chunks)
+            assert h.total_pairs == 0
+            assert np.array_equal(h.bin_edges, make_edges(10.0, 1.0))
+            assert np.all(h.counts == 0)
+            assert h.flags == ["empty-input"]
+        assert cross_correlate(full, full, window=10.0).flags == []
 
     def test_duration_mismatch_rejected(self):
         s1 = stream([1.0], 100.0, 1)
@@ -222,20 +225,19 @@ class TestNormalization:
             assert hn.norm[k] == pytest.approx(1.0, abs=5 * hn.norm_err[k])
 
     def test_normalize_requires_positive_rates(self):
-        h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 0, 5.0, 1.0)
+        h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 1.0)
         with pytest.raises(DegenerateInput):
             normalize_cw(h, 0.0, 1.0)
 
     def test_zero_counts_low_statistics_flag(self):
-        h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 0, 5.0, 1.0)
+        h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 1.0)
         hn = normalize_cw(h, 1e-3, 1e-3)
         assert "low-statistics" in hn.flags
         assert np.all(hn.norm == 0)
         assert np.all(hn.norm_err > 0)
 
     def test_pulsed_normalization_requires_side_peaks(self):
-        h = CoincidenceHistogram(make_edges(40.0, 1.0), np.ones(80, int), 80,
-                                 40.0, 1e6)
+        h = CoincidenceHistogram(make_edges(40.0, 1.0), np.ones(80, int), 1e6)
         with pytest.raises(InsufficientPeaks):
             normalize_pulsed(h, period=100.0, tau_o=6.0,
                              signal_rates=(1e-3, 1e-3),
@@ -256,7 +258,7 @@ class TestNormalization:
             counts = counts + np.round(
                 peak * np.exp(-2.0 * np.abs(centers - 100.0 * k) / 6.0)
             ).astype(int)
-        h = CoincidenceHistogram(edges, counts, int(counts.sum()), 450.0, T)
+        h = CoincidenceHistogram(edges, counts, T)
         hn = normalize_pulsed(h, period=100.0, tau_o=6.0,
                               signal_rates=(r, r), background_rates=(b, b))
         rho2 = (r * r) / ((r + b) ** 2)
@@ -267,6 +269,27 @@ class TestNormalization:
         apex = np.argmin(np.abs(centers - 100.0))
         expected = 1.0 - rho2 + rho2 * np.exp(-2.0 * abs(centers[apex] - 100.0) / 6.0)
         assert hn.norm[apex] == pytest.approx(expected, abs=0.05)
+
+    def test_pulsed_side_peak_cut_short_is_not_used(self):
+        """Edges at +-448 ns (a 450.9-ns window in 4-ns bins) cut the peaks
+        at +-400 ns short, so the height scale comes from the peaks at
+        +-100..300 ns alone, as on edges at +-400 ns."""
+        edges = make_edges(450.9, 4.0)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        counts = np.full(centers.size, 2000)
+        for k in (-4, -3, -2, -1, 1, 2, 3, 4):
+            height = 3000.0 if abs(k) == 4 else 1000.0
+            counts += np.round(
+                height * np.exp(-2.0 * np.abs(centers - 100.0 * k) / 6.0)
+            ).astype(int)
+        inner = np.abs(centers) < 400.0
+        rates = dict(period=100.0, tau_o=6.0, signal_rates=(2e-3, 2e-3),
+                     background_rates=(1e-3, 1e-3))
+        hn = normalize_pulsed(CoincidenceHistogram(edges, counts, 1e6), **rates)
+        trimmed = normalize_pulsed(
+            CoincidenceHistogram(edges[np.abs(edges) <= 400.0], counts[inner],
+                                 1e6), **rates)
+        assert np.array_equal(hn.norm[inner], trimmed.norm)
 
 
 class TestPeakIntegration:
@@ -280,7 +303,7 @@ class TestPeakIntegration:
             counts = counts + np.round(
                 height * np.exp(-2.0 * np.abs(centers - 100.0 * k) / 6.0)
             ).astype(int)
-        return CoincidenceHistogram(edges, counts, int(counts.sum()), 450.0, T)
+        return CoincidenceHistogram(edges, counts, T)
 
     def test_ratio_recovered(self):
         h = self.make_pulse_train(zero_height=310.0, side_height=1000.0)
@@ -297,10 +320,20 @@ class TestPeakIntegration:
         assert corrected.g2_int == pytest.approx(0.31, abs=0.01)
         assert naive.g2_int > corrected.g2_int
 
+    def test_side_peaks_cut_short_are_left_out(self):
+        """Edges at +-1017 ns (a 1017.6-ns window in 1-ns bins) cut the peaks
+        at +-1000 ns one bin short; a flat histogram integrates to exactly 1
+        over the 18 whole side peaks."""
+        edges = make_edges(1017.6, 1.0)
+        h = CoincidenceHistogram(edges, np.full(edges.size - 1, 100), 1e6)
+        pk = integrate_peaks(h, period=100.0, peak_halfwidth=17.5)
+        assert pk.side_peak_sums == [3600] * 18
+        assert pk.zero_peak_sum == 3600
+        assert pk.g2_int == 1.0 and type(pk.g2_int) is float
+
     def test_window_must_hold_side_peaks(self):
         edges = make_edges(40.0, 1.0)
-        h = CoincidenceHistogram(edges, np.ones(edges.size - 1, int),
-                                 edges.size - 1, 40.0, 1e6)
+        h = CoincidenceHistogram(edges, np.ones(edges.size - 1, int), 1e6)
         with pytest.raises(InsufficientPeaks):
             integrate_peaks(h, period=100.0)
 
@@ -332,7 +365,7 @@ class TestHelpers:
 
     def test_histogram_validation(self):
         with pytest.raises(InvalidParameter):
-            CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(5, int), 0, 5.0, 1.0)
+            CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(5, int), 1.0)
         bad_edges = np.array([0.0, 1.0, 3.0])
         with pytest.raises(InvalidParameter):
-            CoincidenceHistogram(bad_edges, np.zeros(2, int), 0, 3.0, 1.0)
+            CoincidenceHistogram(bad_edges, np.zeros(2, int), 1.0)

@@ -1,5 +1,6 @@
 """Least-squares engine and model front ends."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -18,14 +19,15 @@ from fiberphoton.fit import (
     levenberg_marquardt,
     saturation_model,
 )
+from fiberphoton.io import write_fit_report
 
 
-def histogram_from_curve(centers, values, errs, window, duration=1e6):
+def histogram_from_curve(centers, values, errs, duration=1e6):
     bw = centers[1] - centers[0]
     edges = np.concatenate([centers - bw / 2, [centers[-1] + bw / 2]])
     counts = np.maximum(np.round(values * 1000).astype(np.int64), 0)
-    return CoincidenceHistogram(edges, counts, int(counts.sum()), window,
-                                duration, norm=values, norm_err=errs)
+    return CoincidenceHistogram(edges, counts, duration, norm=values,
+                                norm_err=errs)
 
 
 class TestEngine:
@@ -128,7 +130,7 @@ class TestG2CwFit:
         rng = np.random.default_rng(seed)
         y = g2_cw_reduced(g0, wp, centers) + rng.normal(0, noise, centers.size)
         err = np.full(centers.size, max(noise, 1e-3))
-        return histogram_from_curve(centers, y, err, 100.5)
+        return histogram_from_curve(centers, y, err)
 
     def test_recovers_parameters(self):
         h = self.make_histogram(0.1, 0.2, noise=0.01, seed=70)
@@ -142,13 +144,13 @@ class TestG2CwFit:
         centers = np.arange(-50, 51, dtype=float)
         rng = np.random.default_rng(71)
         y = 1.0 + rng.normal(0, 0.002, centers.size)
-        h = histogram_from_curve(centers, y, np.full(centers.size, 0.01), 50.5)
+        h = histogram_from_curve(centers, y, np.full(centers.size, 0.01))
         res = fit_g2_cw(h)
         assert "degenerate-data" in res.flags
 
     def test_requires_normalization(self):
         edges = make_edges(10.0, 1.0)
-        h = CoincidenceHistogram(edges, np.ones(20, int), 20, 10.0, 1.0)
+        h = CoincidenceHistogram(edges, np.ones(20, int), 1.0)
         with pytest.raises(InvalidParameter):
             fit_g2_cw(h)
 
@@ -160,7 +162,7 @@ class TestG2PulsedFit:
         rng = np.random.default_rng(80)
         y = g2_pulsed_mixed_model(centers, rho, g0, wp, tau_o)
         y = y + rng.normal(0, 0.005, centers.size)
-        h = histogram_from_curve(centers, y, np.full(centers.size, 0.005), 49.5)
+        h = histogram_from_curve(centers, y, np.full(centers.size, 0.005))
         res = fit_g2_pulsed(h, tau_o_fixed=tau_o)
         assert res.converged
         assert res.params["rho"] == pytest.approx(rho, abs=0.02)
@@ -224,11 +226,13 @@ class TestSaturationFit:
 
 
 class TestFitResult:
-    def test_to_dict_round_trip(self):
+    def test_to_dict_round_trip(self, tmp_path):
+        """The fit report holds every FitResult field."""
         x = np.linspace(0, 5, 20)
         res = least_squares_engine(lambda t, a: a * t, x, 2.0 * x, [1.0],
                                    param_names=["a"])
-        d = res.to_dict()
+        write_fit_report(tmp_path / "fit.json", res)
+        d = json.loads((tmp_path / "fit.json").read_text())
         assert d["params"]["a"] == pytest.approx(2.0)
         assert d["converged"] is True
         assert set(d) == {"params", "sigmas", "residual_norm", "converged",

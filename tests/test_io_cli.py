@@ -120,9 +120,11 @@ class TestStreamCsv:
         ("1,1.0\r\n2\r\n", 3),
         ("1,1.0\r\n\r\n2,bad\r\n", 4),
         ("1,1.0\r\n" + "1" * 200_000 + ",2.0\r\n", 3),
+        ("1,1.0\r\n1\x00,2.0\r\n", 3),
     ], ids=["channel-3", "channel-01", "channel-space-1", "channel-1.0",
             "channel-12", "quoted-channel", "bad-float", "three-columns",
-            "one-column", "after-blank-line", "oversized-cell"])
+            "one-column", "after-blank-line", "oversized-cell",
+            "channel-trailing-nul"])
     def test_malformed_stream_row_reports_line(self, tmp_path, body, line):
         path = tmp_path / "bad.csv"
         path.write_bytes(("channel,time_ns\r\n" + body).encode())
@@ -146,13 +148,13 @@ class TestHistogramCsv:
         counts = np.arange(20, dtype=np.int64)
         norm = counts / 10.0
         err = np.sqrt(np.maximum(counts, 1)) / 10.0
-        h = CoincidenceHistogram(edges, counts, int(counts.sum()), 10.0, 1e6,
-                                 norm=norm, norm_err=err)
+        h = CoincidenceHistogram(edges, counts, 1e6, norm=norm, norm_err=err)
         path = tmp_path / "hist.csv"
         fio.write_histogram_csv(path, h)
         back = fio.read_histogram_csv(path)
+        assert sorted(json.loads(fio.sidecar_path(path).read_text())) == [
+            "duration", "flags", "normalization"]
         assert back.duration == 1e6
-        assert back.window == 10.0
         assert np.array_equal(back.counts, counts)
         assert np.allclose(back.bin_edges, edges, rtol=0, atol=1e-12)
         assert np.array_equal(back.norm, norm)
@@ -180,8 +182,7 @@ class TestHistogramCsv:
         if normalization is not None:
             norm, err = rng.random((2, counts.size)) * scale
         h = CoincidenceHistogram(
-            edges, counts, int(counts.sum()), window, duration, norm=norm,
-            norm_err=err, flags=flags,
+            edges, counts, duration, norm=norm, norm_err=err, flags=flags,
             normalization=None if normalization == "raw" else normalization)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "hist.csv"
@@ -195,24 +196,24 @@ class TestHistogramCsv:
                 assert getattr(back, name) is None
             else:
                 assert np.array_equal(getattr(back, name), getattr(h, name))
-        assert (back.window, back.duration, back.flags, back.normalization) \
-            == (h.window, h.duration, h.flags, h.normalization)
+        assert (back.duration, back.flags, back.normalization) \
+            == (h.duration, h.flags, h.normalization)
 
     def test_fallback_without_sidecar(self, tmp_path):
-        edges = make_edges(5.0, 0.5)
-        h = CoincidenceHistogram(edges, np.ones(20, dtype=np.int64), 20, 5.2,
-                                 1e3, flags=["low-statistics"])
+        edges = make_edges(5.2, 0.5)
+        h = CoincidenceHistogram(edges, np.ones(20, dtype=np.int64), 1e3,
+                                 flags=["low-statistics"])
         path = tmp_path / "hist.csv"
         fio.write_histogram_csv(path, h)
         fio.sidecar_path(path).unlink()
         back = fio.read_histogram_csv(path)
-        assert (back.window, back.duration, back.flags, back.normalization) \
-            == (5.0, 1.0, [], None)
+        assert (back.bin_edges[0], back.bin_edges[-1]) == (-5.0, 5.0)
+        assert (back.duration, back.flags, back.normalization) == (1.0, [], None)
 
     def test_unnormalized_round_trip(self, tmp_path):
         edges = make_edges(5.0, 1.0)
         counts = np.ones(10, dtype=np.int64)
-        h = CoincidenceHistogram(edges, counts, 10, 5.0, 1e3)
+        h = CoincidenceHistogram(edges, counts, 1e3)
         path = tmp_path / "hist.csv"
         fio.write_histogram_csv(path, h)
         back = fio.read_histogram_csv(path)
@@ -283,7 +284,7 @@ class TestCliCorrelate:
         h = fio.read_histogram_csv(tmp_path / "histogram.csv")
         assert h.counts.sum() > 0
         assert h.norm is not None
-        assert (h.window, h.duration, h.normalization) == (100.0, 5e5, "cw")
+        assert (h.bin_edges[-1], h.duration, h.normalization) == (100.0, 5e5, "cw")
 
     def test_third_of_a_ns_bins_fit(self, tmp_path):
         stream = self._simulate(tmp_path)
@@ -309,6 +310,24 @@ class TestCliCorrelate:
         bad = tmp_path / "bad.csv"
         bad.write_text("channel,time_ns\n1,zzz\n")
         assert main(["correlate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("head, tail", [
+        (b"channel,time_\xffns\r\n", b""),
+        (b"channel,time_ns\r\n1,1.0\r\n", b"\xff,2.0\r\n"),
+        (b"channel,time_ns\r\n" + b"1,1.0\r\n" * 5000, b"2,\xff2.0\r\n"),
+    ], ids=["header", "first-block", "late-row"])
+    def test_non_utf8_stream_exits_2(self, tmp_path, capsys, head, tail):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(head + tail)
+        assert main(["correlate", str(bad), "--out", str(tmp_path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_more_than_two_stream_paths_exit_2(self, tmp_path, capsys):
+        stream = str(self._simulate(tmp_path))
+        assert main(["correlate", stream, stream, stream,
+                     "--out", str(tmp_path)]) == 2
+        assert "not 3" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["correlate", str(tmp_path / "nope.csv"),
@@ -354,8 +373,7 @@ class TestCliFit:
         hist = tmp_path / "h.csv"
         edges = make_edges(10.0, 1.0)
         counts = np.ones(20, dtype=np.int64)
-        h = CoincidenceHistogram(edges, counts, 20, 10.0, 1.0,
-                                 norm=counts.astype(float),
+        h = CoincidenceHistogram(edges, counts, 1.0, norm=counts.astype(float),
                                  norm_err=np.ones(20))
         fio.write_histogram_csv(hist, h)
         assert main(["fit", str(hist), "--model", "pulsed",
@@ -392,12 +410,27 @@ class TestCliFit:
         assert "no coincidence pairs" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("where", ["row", "sidecar"])
+    def test_non_utf8_histogram_exits_2(self, tmp_path, capsys, where):
+        edges = make_edges(10.0, 1.0)
+        counts = np.ones(20, dtype=np.int64)
+        hist = tmp_path / "h.csv"
+        fio.write_histogram_csv(hist, CoincidenceHistogram(
+            edges, counts, 1.0, norm=counts.astype(float), norm_err=np.ones(20)))
+        path = hist if where == "row" else fio.sidecar_path(hist)
+        path.write_bytes(path.read_bytes().replace(b"1", b"\xff1", 1))
+        capsys.readouterr()
+        assert main(["fit", str(hist), "--model", "cw",
+                     "--out", str(tmp_path)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize("model", ["cw", "pulsed"])
     def test_fit_of_empty_histogram_exits_2(self, tmp_path, capsys, model):
         edges = make_edges(50.0, 1.0)
         zeros = np.zeros(edges.size - 1)
-        h = CoincidenceHistogram(edges, zeros.astype(np.int64), 0, 50.0, 1e6,
-                                 norm=zeros, norm_err=np.ones_like(zeros),
+        h = CoincidenceHistogram(edges, zeros.astype(np.int64), 1e6, norm=zeros,
+                                 norm_err=np.ones_like(zeros),
                                  normalization=model)
         fio.write_histogram_csv(tmp_path / "h.csv", h)
         assert main(["fit", str(tmp_path / "h.csv"), "--model", model,
@@ -434,9 +467,10 @@ class TestCliGeometry:
 class TestCliPipeline:
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert main(["pipeline", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
+        for text in (b"{not json", b'{"simulate": "\xff"}'):
+            cfg.write_bytes(text)
+            assert main(["pipeline", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "none.json"),
