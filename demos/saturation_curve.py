@@ -11,8 +11,7 @@ its uncertainty.  Run:
 import numpy as np
 
 from fiberphoton import SaturationParams, fit_saturation
-from fiberphoton.fit import saturation_model
-from fiberphoton.sim import pump_for_intensity_curve
+from fiberphoton.emitter import saturation_model
 
 TRUE = SaturationParams(A=1500.0, P_sat=0.54, beta=50.0)
 NOISE = 0.05
@@ -20,9 +19,9 @@ NOISE = 0.05
 
 def main():
     powers = np.geomspace(0.03, 20.0, 12)
-    curve = pump_for_intensity_curve(powers, None, TRUE)
+    curve = saturation_model(powers, TRUE.A, TRUE.P_sat, TRUE.beta)
     rng = np.random.default_rng(7)
-    data = np.array([(p, i * rng.normal(1.0, NOISE)) for p, i in curve])
+    data = np.array([(p, i * rng.normal(1.0, NOISE)) for p, i in zip(powers, curve)])
 
     print("power (uW)   intensity (cps)")
     for p, i in data:

@@ -14,6 +14,7 @@ from .emitter import (
     BackgroundMix,
     EmitterParams,
     PulseParams,
+    SaturationParams,
     excited_population,
     g2_background_mixed,
     g2_cw,
@@ -35,7 +36,6 @@ from .correlate import (
 )
 from .fit import (
     FitResult,
-    SaturationParams,
     fit_g2_cw,
     fit_g2_pulsed,
     fit_saturation,

@@ -171,6 +171,10 @@ def cmd_pipeline(args) -> int:
     model = fit_cfg.get("model", "cw")
     if model == "pulsed" and cfg.pulse is None:
         raise FiberPhotonError("a pulsed fit needs a simulate.pulse section")
+    if model == "pulsed" and cfg.pulse_shape != "exponential":
+        raise FiberPhotonError(
+            "a pulsed fit models the exponential pulse envelope, not a "
+            f"{cfg.pulse_shape} one")
 
     s1, s2 = _write_streams(out / "stream.csv", cfg)
     h = corr.cross_correlate(
@@ -180,9 +184,8 @@ def cmd_pipeline(args) -> int:
         n_chunks=args.workers,
     )
     if model == "pulsed":
-        # Per-channel dark counts plus half the shared background; the rest
-        # of each channel's rate is emitter signal.
-        b = cfg.dark_rate_per_channel + cfg.background_rate / 2
+        # The rest of each channel's rate is emitter signal.
+        b = cfg.background_per_channel
         h = corr.normalize_pulsed(h, period=cfg.pulse.period, tau_o=cfg.pulse.tau_o,
                                   signal_rates=(s1.rate - b, s2.rate - b),
                                   background_rates=(b, b))

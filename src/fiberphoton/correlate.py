@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .emitter import pulse_envelope
 from .errors import DegenerateInput, InsufficientPeaks, InvalidParameter
 from .sim import TimestampStream
 
@@ -207,7 +208,7 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
         g2_exp(tau) = 1 - rho^2 + rho^2 * e(tau) * g2(tau),
     directly fittable by the pulsed model.  The peak height scale is taken
     from the side peaks (which carry no antibunching) by projecting their
-    excess onto the model envelope e(tau) = exp(-2|tau|/tau_o) in each side
+    excess onto the model envelope e(tau) = pulse_envelope(tau, tau_o) in each side
     peak k*period +- period/2 that the bin edges hold whole; rho comes from
     the supplied per-channel singles rates of signal and background.
     """
@@ -222,7 +223,7 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     excess = h.counts - floor
     heights = []
     for k, sel in _side_peaks(h, period, period / 2.0):
-        env = np.exp(-2.0 * np.abs(centers[sel] - k * period) / tau_o)
+        env = pulse_envelope(centers[sel] - k * period, tau_o)
         heights.append(float(np.dot(excess[sel], env) / np.dot(env, env)))
     peak_scale = float(np.mean(heights))
     if peak_scale <= 0:

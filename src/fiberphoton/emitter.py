@@ -2,13 +2,14 @@
 
 Population dynamics of a pumped emitter (ground state pumped at rate w_p into
 a radiative state that decays at rate gamma) and the second-order
-autocorrelation curves derived from it: the cw dip, the pulsed-envelope
-variant, the background-mixed experimental curve, and the pulse-integrated
-zero-delay value.  All rates are in 1/ns and all times in ns; a
-millisecond-scale radiative lifetime is simply gamma = 1e-6 /ns.
+autocorrelation curves derived from it: the cw dip, the pulse envelope and
+the pulsed dip, their background mix, and the pulse-integrated zero-delay
+value; plus the power-saturation law.  All rates are in 1/ns and all times in
+ns; a millisecond-scale radiative lifetime is simply gamma = 1e-6 /ns.
 
-These functions accept scalar or ndarray time arguments and are pure, so they
-double as fit models and as ground truth for the stochastic simulator.
+Each curve is written here only.  The functions accept scalar or ndarray time
+arguments and are pure, so they serve as the fit models, the pulsed
+normalization's envelope and ground truth for the stochastic simulator.
 """
 
 from __future__ import annotations
@@ -114,9 +115,7 @@ def g2_cw(p: EmitterParams, tau):
 
     g2(tau) = 1 - (1 - g2_0) * exp(-(w_p + gamma) |tau|)
     """
-    tau = np.abs(np.asarray(tau, dtype=float))
-    out = 1.0 - (1.0 - p.g2_0) * np.exp(-p.total_rate * tau)
-    return out if out.ndim else float(out)
+    return g2_cw_reduced(p.g2_0, p.total_rate, tau)
 
 
 def g2_cw_reduced(g2_0: float, w_p: float, tau):
@@ -130,6 +129,11 @@ def g2_cw_reduced(g2_0: float, w_p: float, tau):
     return out if out.ndim else float(out)
 
 
+def pulse_envelope(tau, tau_o: float):
+    """Exponential pulse envelope exp(-2|tau|/tau_o) of the pulsed g2."""
+    return np.exp(-2.0 * np.abs(tau) / tau_o)
+
+
 def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):
     """Pulsed autocorrelation: exponential pulse envelope times the reduced dip.
 
@@ -138,10 +142,17 @@ def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameter("tau must be >= 0 for the pulsed model")
-    out = np.exp(-2.0 * tau / pulse.tau_o) * (
-        1.0 - (1.0 - p.g2_0) * np.exp(-p.w_p * tau)
-    )
+    out = pulse_envelope(tau, pulse.tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
     return out if out.ndim else float(out)
+
+
+def g2_pulsed_mixed_model(tau, rho, g2_0, w_p, tau_o):
+    """Background-mixed pulsed dip evaluated at |tau|:
+
+    1 - rho^2 + rho^2 * exp(-2|tau|/tau_o) * [1 - (1 - g2_0) exp(-w_p |tau|)]
+    """
+    return 1.0 - rho**2 + rho**2 * pulse_envelope(tau, tau_o) * g2_cw_reduced(
+        g2_0, w_p, tau)
 
 
 def g2_background_mixed(g2, mix: BackgroundMix):
@@ -201,3 +212,29 @@ def pump_rate_from_integrated(g2_int: float, g2_0: float, tau_o: float) -> float
             f"g2_int ({g2_int}) must exceed g2_0 ({g2_0}) to invert"
         )
     return tau_o * (1.0 - g2_int) / (g2_int - g2_0)
+
+
+@dataclass(frozen=True)
+class SaturationParams:
+    """Saturation curve I(P) = A*P/(P+P_sat) + beta*P.
+
+    A in counts/s, P_sat in uW, beta in counts/s per uW.
+    """
+
+    A: float
+    P_sat: float
+    beta: float = 0.0
+
+    def __post_init__(self):
+        if not (self.A > 0):
+            raise InvalidParameter(f"A must be > 0, got {self.A}")
+        if not (self.P_sat > 0):
+            raise InvalidParameter(f"P_sat must be > 0, got {self.P_sat}")
+        if self.beta < 0:
+            raise InvalidParameter(f"beta must be >= 0, got {self.beta}")
+
+
+def saturation_model(power, A, P_sat, beta):
+    """Saturating emitter plus linear background: A*P/(P+P_sat) + beta*P."""
+    power = np.asarray(power, dtype=float)
+    return A * power / (power + P_sat) + beta * power

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .correlate import CoincidenceHistogram
-from .emitter import g2_cw_reduced
+from .emitter import (BackgroundMix, g2_background_mixed, g2_cw_reduced,
+                      g2_pulsed_mixed_model, saturation_model)
 from .errors import DegenerateInput, InvalidParameter
 
 MAX_ITERATIONS = 200
@@ -32,7 +33,8 @@ class FitResult:
 
     sigmas are sqrt of the covariance diagonal of the linearized problem;
     an unidentifiable parameter gets sigma = inf and an 'unidentifiable:...'
-    flag.  residual_norm is the (weighted) sum of squared residuals.
+    flag, and one that ends exactly on a finite bound an 'at-bound:...' flag.
+    residual_norm is the (weighted) sum of squared residuals.
     """
 
     params: dict
@@ -41,26 +43,6 @@ class FitResult:
     converged: bool
     iterations: int
     flags: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SaturationParams:
-    """Saturation curve I(P) = A*P/(P+P_sat) + beta*P.
-
-    A in counts/s, P_sat in uW, beta in counts/s per uW.
-    """
-
-    A: float
-    P_sat: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.A > 0):
-            raise InvalidParameter(f"A must be > 0, got {self.A}")
-        if not (self.P_sat > 0):
-            raise InvalidParameter(f"P_sat must be > 0, got {self.P_sat}")
-        if self.beta < 0:
-            raise InvalidParameter(f"beta must be >= 0, got {self.beta}")
 
 
 def finite_difference_jacobian(residual: Callable, p: np.ndarray,
@@ -216,6 +198,9 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
     for name, s, v in zip(param_names, sigmas, variances):
         if not np.isfinite(v) or v > 1e12 * max(ssr, 1e-300):
             flags.append(f"unidentifiable:{name}")
+    if bounds is not None:
+        flags += [f"at-bound:{name}" for name, v, lo, hi
+                  in zip(param_names, p, *bounds) if v in (lo, hi)]
     if not converged:
         flags.append("max-iterations")
     return FitResult(
@@ -296,17 +281,6 @@ def fit_g2_cw(h: CoincidenceHistogram,
     return _with_dip_width(result)
 
 
-def g2_pulsed_mixed_model(tau, rho, g2_0, w_p, tau_o):
-    """Background-mixed pulsed dip evaluated at |tau|:
-
-    1 - rho^2 + rho^2 * exp(-2|tau|/tau_o) * [1 - (1 - g2_0) exp(-w_p |tau|)]
-    """
-    at = np.abs(np.asarray(tau, dtype=float))
-    return 1.0 - rho**2 + rho**2 * np.exp(-2.0 * at / tau_o) * (
-        1.0 - (1.0 - g2_0) * np.exp(-w_p * at)
-    )
-
-
 def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
                   fit_halfwidth: Optional[float] = None) -> FitResult:
     """Fit the background-mixed pulsed dip with the envelope width held fixed.
@@ -330,14 +304,9 @@ def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
         sigma=err, param_names=["rho", "g2_0", "w_p"],
     )
     result = _with_dip_width(result)
-    rho, g0 = result.params["rho"], result.params["g2_0"]
-    result.params["g2_exp_0"] = 1.0 - rho**2 + rho**2 * g0
+    result.params["g2_exp_0"] = g2_background_mixed(
+        result.params["g2_0"], BackgroundMix(result.params["rho"]))
     return result
-
-
-def saturation_model(power, A, P_sat, beta):
-    power = np.asarray(power, dtype=float)
-    return A * power / (power + P_sat) + beta * power
 
 
 def fit_saturation(data, sigma=None) -> FitResult:

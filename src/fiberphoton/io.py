@@ -4,9 +4,10 @@ Every float is written as its shortest round-trip repr, so every table reads
 back bit for bit, and identical data produces byte-identical files.  A stream
 or histogram CSV has a JSON sidecar (`sidecar_path`) with what its rows do not
 hold: a stream's SimConfig, or a histogram's duration, flags and
-normalization.  A histogram's extent is its bin edges, which the reader
-rebuilds from the bin centres.  Every reader raises MalformedFile for input
-that does not match its format, bytes that are not UTF-8 included.
+normalization.  A histogram row holds its bin's exact edges next to its
+centre, so the edges, which are the histogram's extent, read back as written.
+Every reader raises MalformedFile for input that does not match its format, a
+row with a missing or an extra cell and bytes that are not UTF-8 included.
 
 Stream CSVs hold millions of rows, so their rows skip the csv module: the
 writer joins the reprs of a block of times into one string, and the reader
@@ -33,7 +34,7 @@ from .errors import MalformedFile
 from .sim import SimConfig, TimestampStream
 
 STREAM_HEADER = ["channel", "time_ns"]
-HISTOGRAM_HEADER = ["tau_ns", "counts", "g2", "norm_err"]
+HISTOGRAM_HEADER = ["tau_ns", "counts", "g2", "norm_err", "tau_lo_ns", "tau_hi_ns"]
 SATURATION_HEADER = ["power_uW", "intensity_cps"]
 SWEEP_HEADER = ["x", "value"]
 
@@ -179,9 +180,12 @@ def write_sim_sidecar(path, cfg: SimConfig):
 
 
 def write_histogram_csv(path, h: CoincidenceHistogram):
-    """Histogram CSV tau_ns,counts,g2,norm_err (g2 and norm_err empty when
-    unnormalized), and its sidecar with duration, flags and normalization."""
-    _write_table(path, HISTOGRAM_HEADER, (h.centers, h.counts, h.norm, h.norm_err))
+    """Histogram CSV tau_ns,counts,g2,norm_err,tau_lo_ns,tau_hi_ns (g2 and
+    norm_err empty when unnormalized), and its sidecar with duration, flags
+    and normalization."""
+    edges = h.bin_edges
+    _write_table(path, HISTOGRAM_HEADER, (h.centers, h.counts, h.norm, h.norm_err,
+                                          edges[:-1], edges[1:]))
     _write_json(sidecar_path(path), {
         "duration": h.duration, "flags": h.flags,
         "normalization": h.normalization,
@@ -189,8 +193,9 @@ def write_histogram_csv(path, h: CoincidenceHistogram):
 
 
 def _histogram_row(row):
-    g2, err = (float(cell) if cell else None for cell in row[2:4])
-    return float(row[0]), int(row[1]), g2, err
+    center, counts, g2, err, lo, hi = row
+    g2, err = (float(cell) if cell else None for cell in (g2, err))
+    return float(center), int(counts), g2, err, float(lo), float(hi)
 
 
 def _optional_column(values):
@@ -198,16 +203,18 @@ def _optional_column(values):
 
 
 def read_histogram_csv(path) -> CoincidenceHistogram:
-    """Read a histogram CSV and its sidecar.  Bin edges are rebuilt from the
-    centres and give the delay extent.  Without a sidecar the duration is
-    1.0, with no flags and no normalization."""
+    """Read a histogram CSV and its sidecar.  The bin edges are taken from
+    the tau_lo_ns and tau_hi_ns columns, where each bin must start at the end
+    of the one before.  Without a sidecar the duration is 1.0, with no flags
+    and no normalization."""
     rows = list(_rows(path, HISTOGRAM_HEADER, _histogram_row))
     if len(rows) < 2:
         raise MalformedFile(f"{path}: need at least two bins")
-    centers, counts, norm, err = zip(*rows)
-    centers = np.asarray(centers)
-    half = (centers[-1] - centers[0]) / (2 * (centers.size - 1))
-    edges = np.append(centers - half, centers[-1] + half)
+    _, counts, norm, err, lo, hi = zip(*rows)
+    if lo[1:] != hi[:-1]:
+        raise MalformedFile(f"{path}: each bin's tau_lo_ns must equal the "
+                            "tau_hi_ns of the bin before")
+    edges = np.array(lo + hi[-1:])
     meta = _sidecar(path)
     return CoincidenceHistogram(
         bin_edges=edges,
@@ -224,9 +231,13 @@ def write_saturation_csv(path, data):
     _write_table(path, SATURATION_HEADER, np.asarray(data, dtype=float).T)
 
 
+def _saturation_row(row):
+    power, intensity = row
+    return float(power), float(intensity)
+
+
 def read_saturation_csv(path) -> list[tuple[float, float]]:
-    return list(_rows(path, SATURATION_HEADER,
-                      lambda row: (float(row[0]), float(row[1]))))
+    return list(_rows(path, SATURATION_HEADER, _saturation_row))
 
 
 def write_sweep_csv(path, x, values):

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .emitter import EmitterParams, PulseParams
+from .emitter import EmitterParams, PulseParams, SaturationParams
 from .errors import InvalidParameter
 
 #: Pulse envelope shapes for the time-dependent pump rate.
@@ -69,10 +69,19 @@ class SimConfig:
                      "jitter_sigma", "dead_time"):
             if getattr(self, name) < 0:
                 raise InvalidParameter(f"{name} must be >= 0")
+        if self.emitter.g2_0 != 0:
+            raise InvalidParameter(
+                "the simulator models one ideal emitter, so emitter.g2_0 must "
+                f"be 0, got {self.emitter.g2_0}; mix in background instead")
         if self.pulse_shape not in PULSE_SHAPES:
             raise InvalidParameter(
                 f"pulse_shape must be one of {PULSE_SHAPES}, got {self.pulse_shape!r}"
             )
+
+    @property
+    def background_per_channel(self) -> float:
+        """Dark plus half the shared background rate, events/ns per channel."""
+        return self.dark_rate_per_channel + self.background_rate / 2.0
 
     @classmethod
     def from_dict(cls, d: dict) -> SimConfig:
@@ -297,7 +306,7 @@ def detect_hbt(emissions: np.ndarray,
     streams = []
     for channel, rng, mine in ((1, ch1_rng, to_ch1), (2, ch2_rng, ~to_ch1)):
         times = kept[mine]
-        extra_rate = cfg.dark_rate_per_channel + cfg.background_rate / 2.0
+        extra_rate = cfg.background_per_channel
         if extra_rate > 0:
             n_extra = rng.poisson(extra_rate * cfg.duration)
             times = np.concatenate([times, rng.uniform(0.0, cfg.duration, n_extra)])
@@ -315,26 +324,18 @@ def simulate_streams(cfg: SimConfig) -> tuple[TimestampStream, TimestampStream]:
     return detect_hbt(simulate_emission(cfg), cfg)
 
 
-def pump_for_intensity_curve(powers, cfg: Optional[SimConfig], sat,
-                             mode: str = "closed_form") -> list[tuple[float, float]]:
-    """Fluorescence intensity (counts/s) versus excitation power (uW).
+def pump_for_intensity_curve(powers, cfg: SimConfig,
+                             sat: SaturationParams) -> list[tuple[float, float]]:
+    """Simulated fluorescence intensity (counts/s) versus excitation power (uW).
 
     The pump rate is linear in power, w_p = gamma * P / P_sat, so the emitter
-    count rate saturates as A * P / (P + P_sat); a linear background beta * P
-    is added on top.  mode='closed_form' evaluates the curve directly;
-    mode='simulate' runs a cw acquisition per power and uses the detected
-    count rate (cfg required; its detection efficiency is derived from sat.A).
+    count rate follows emitter.saturation_model.  Each power runs a cw
+    acquisition (cfg's gamma and duration, seed cfg.seed + index, detection
+    efficiency derived from sat.A) and reports its detected count rate.
     """
     powers = np.asarray(powers, dtype=float)
     if np.any(powers <= 0):
         raise InvalidParameter("powers must be > 0")
-    if mode == "closed_form":
-        intensity = sat.A * powers / (powers + sat.P_sat) + sat.beta * powers
-        return list(zip(powers.tolist(), intensity.tolist()))
-    if mode != "simulate":
-        raise InvalidParameter(f"unknown mode {mode!r}")
-    if cfg is None:
-        raise InvalidParameter("simulate mode requires a SimConfig template")
     gamma = cfg.emitter.gamma
     eff = sat.A / (gamma * 1e9)
     if not (0 < eff <= 1.0):

@@ -42,6 +42,21 @@ class TestEngine:
         assert abs(res.params["b"] + 1.5) < 1e-10
         assert res.residual_norm < 1e-18
 
+    def test_parameter_on_a_bound_is_flagged(self):
+        """The slope 2 lies past the upper bound 1, so the fit ends on it;
+        the intercept ends inside its bounds and the infinite bounds are
+        never reached."""
+        x = np.linspace(0.0, 10.0, 30)
+        res = least_squares_engine(lambda t, a, b: a * t + b, x, 2.0 * x,
+                                   [0.5, 0.0], bounds=([0.0, -np.inf], [1.0, np.inf]),
+                                   param_names=["slope", "intercept"])
+        assert res.params["slope"] == 1.0
+        assert res.flags == ["at-bound:slope"]
+        res = least_squares_engine(lambda t, a, b: a * t + b, x, 2.0 * x,
+                                   [0.5, 0.0], bounds=([0.0, -np.inf], [3.0, np.inf]),
+                                   param_names=["slope", "intercept"])
+        assert res.flags == []
+
     def test_rosenbrock_valley(self):
         def residual(p):
             return np.array([1.0 - p[0], 10.0 * (p[1] - p[0] ** 2)])

@@ -156,7 +156,7 @@ class TestHistogramCsv:
             "duration", "flags", "normalization"]
         assert back.duration == 1e6
         assert np.array_equal(back.counts, counts)
-        assert np.allclose(back.bin_edges, edges, rtol=0, atol=1e-12)
+        assert np.array_equal(back.bin_edges, edges)
         assert np.array_equal(back.norm, norm)
         assert np.array_equal(back.norm_err, err)
 
@@ -169,6 +169,11 @@ class TestHistogramCsv:
     @example(bin_width=1 / 3, bins_per_side=300, window_excess=0.0,
              duration=1e7, flags=["low-statistics"], normalization="cw",
              scale=1e-3, seed=0)
+    # Bin centres alone give these edges back up to 1.4e-14 ns off.
+    @example(bin_width=0.1, bins_per_side=300, window_excess=0.0, duration=1e6,
+             flags=[], normalization=None, scale=1.0, seed=0)
+    @example(bin_width=0.7, bins_per_side=142, window_excess=0.0, duration=1e6,
+             flags=[], normalization=None, scale=1.0, seed=0)
     def test_round_trip_is_lossless(self, bin_width, bins_per_side,
                                     window_excess, duration, flags,
                                     normalization, scale, seed):
@@ -188,7 +193,7 @@ class TestHistogramCsv:
             path = Path(tmp) / "hist.csv"
             fio.write_histogram_csv(path, h)
             back = fio.read_histogram_csv(path)
-        assert np.allclose(back.bin_edges, edges, rtol=0, atol=1e-9 * bin_width)
+        assert np.array_equal(back.bin_edges, edges)
         assert np.array_equal(back.counts, h.counts)
         assert back.total_pairs == h.total_pairs
         for name in ("norm", "norm_err"):
@@ -225,6 +230,31 @@ class TestHistogramCsv:
         with pytest.raises(MalformedFile):
             fio.read_histogram_csv(path)
 
+    def _write_rows(self, path, *rows):
+        path.write_text("\n".join([",".join(fio.HISTOGRAM_HEADER), *rows]) + "\n")
+
+    def test_bins_must_adjoin(self, tmp_path):
+        path = tmp_path / "h.csv"
+        self._write_rows(path, "-1.5,1,,,-2.0,-1.0", "-0.5,1,,,-0.9,0.0")
+        with pytest.raises(MalformedFile, match="tau_lo_ns"):
+            fio.read_histogram_csv(path)
+
+    @pytest.mark.parametrize("row", ["-0.5,1,,,-1.0,0.0,junk", "-0.5,1,,"],
+                             ids=["extra-cell", "four-columns"])
+    def test_wrong_cell_count_reports_line(self, tmp_path, row):
+        path = tmp_path / "h.csv"
+        self._write_rows(path, "-1.5,1,,,-2.0,-1.0", row)
+        with pytest.raises(MalformedFile) as err:
+            fio.read_histogram_csv(path)
+        assert err.value.line == 3
+
+    def test_four_column_header_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("tau_ns,counts,g2,norm_err\n-4.5,1,,\n-3.5,1,,\n")
+        with pytest.raises(MalformedFile) as err:
+            fio.read_histogram_csv(path)
+        assert err.value.line == 1
+
 
 class TestSaturationCsv:
     def test_round_trip(self, tmp_path):
@@ -240,6 +270,13 @@ class TestSaturationCsv:
         with pytest.raises(MalformedFile) as err:
             fio.read_saturation_csv(path)
         assert err.value.line == 3
+
+    def test_extra_cell_rejected(self, tmp_path):
+        path = tmp_path / "sat.csv"
+        path.write_text("power_uW,intensity_cps\n0.1,300,junk\n0.5,900\n")
+        with pytest.raises(MalformedFile) as err:
+            fio.read_saturation_csv(path)
+        assert err.value.line == 2
 
 
 class TestCliSimulate:
@@ -530,6 +567,31 @@ class TestCliPipeline:
                                "duration": 1e5, "seed": 1},
                   "fit": {"model": "pulsed", "tau_o": 6.0}}
         assert self._pipeline(tmp_path, config) == 2
+
+    def test_pulsed_fit_of_rectangular_pulses_exits_2(self, tmp_path, capsys):
+        """The pulsed normalization and model assume the exponential
+        envelope."""
+        config = {"simulate": {"emitter": {"w_p": 1.3, "gamma": 2.0},
+                               "pulse": {"tau_o": 6.0, "period": 100.0},
+                               "pulse_shape": "rectangular",
+                               "duration": 1e6, "seed": 1},
+                  "correlate": {"window": 450.0},
+                  "fit": {"model": "pulsed", "tau_o": 6.0}}
+        assert self._pipeline(tmp_path, config) == 2
+        assert "rectangular" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "stream.csv").exists()
+
+    @pytest.mark.parametrize("bin_width", [1 / 3, 0.1, 0.7, 1.0])
+    def test_histogram_file_refits_to_the_same_report(self, tmp_path, bin_width):
+        config = {"simulate": {"emitter": {"w_p": 0.2, "gamma": 0.4},
+                               "duration": 1e6, "seed": 1},
+                  "correlate": {"window": 100.0, "bin_width": bin_width},
+                  "fit": {"model": "cw"}}
+        assert self._pipeline(tmp_path, config) == 0
+        assert main(["fit", str(tmp_path / "out" / "histogram.csv"),
+                     "--model", "cw", "--out", str(tmp_path / "refit")]) == 0
+        assert ((tmp_path / "refit" / "fit.json").read_bytes()
+                == (tmp_path / "out" / "fit.json").read_bytes())
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pulsed_chain_recovers_rho(self, tmp_path, seed):

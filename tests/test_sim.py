@@ -7,7 +7,7 @@ import pytest
 
 from fiberphoton.emitter import EmitterParams, PulseParams
 from fiberphoton.errors import InvalidParameter
-from fiberphoton.fit import SaturationParams
+from fiberphoton.emitter import SaturationParams, saturation_model
 from fiberphoton.sim import (
     SimConfig,
     _pulse_hazard_remaining,
@@ -286,9 +286,7 @@ class TestDetectionChain:
 
 class TestSaturationSweep:
     def test_closed_form_curve(self):
-        sat = SaturationParams(A=1500.0, P_sat=0.54, beta=100.0)
-        data = pump_for_intensity_curve([0.54], None, sat)
-        power, intensity = data[0]
+        intensity = saturation_model(0.54, 1500.0, 0.54, 100.0)
         assert intensity == pytest.approx(1500.0 / 2.0 + 100.0 * 0.54)
 
     def test_simulated_tracks_closed_form(self):
@@ -296,19 +294,19 @@ class TestSaturationSweep:
         sat = SaturationParams(A=0.5 * gamma * 1e9, P_sat=0.54, beta=0.0)
         cfg = cw_config(w_p=1e-4, gamma=gamma, duration=5e7, seed=30)
         powers = [0.2, 0.54, 2.0]
-        sim = pump_for_intensity_curve(powers, cfg, sat, mode="simulate")
-        closed = pump_for_intensity_curve(powers, None, sat)
-        for (p1, i_sim), (p2, i_cl) in zip(sim, closed):
+        sim = pump_for_intensity_curve(powers, cfg, sat)
+        closed = saturation_model(powers, sat.A, sat.P_sat, sat.beta)
+        for (p, i_sim), i_cl in zip(sim, closed):
             assert i_sim == pytest.approx(i_cl, rel=0.1)
 
     def test_invalid_inputs(self):
         sat = SaturationParams(A=1000.0, P_sat=0.5)
+        cfg = cw_config(gamma=1e-4)
         with pytest.raises(InvalidParameter):
-            pump_for_intensity_curve([0.0], None, sat)
+            pump_for_intensity_curve([0.0], cfg, sat)
+        # A = 1000 cps at gamma 1e-7/ns needs a detection efficiency of 10.
         with pytest.raises(InvalidParameter):
-            pump_for_intensity_curve([1.0], None, sat, mode="bogus")
-        with pytest.raises(InvalidParameter):
-            pump_for_intensity_curve([1.0], None, sat, mode="simulate")
+            pump_for_intensity_curve([1.0], cw_config(gamma=1e-7), sat)
 
 
 class TestConfigValidation:
@@ -321,3 +319,16 @@ class TestConfigValidation:
             cw_config(dark_rate_per_channel=-1.0)
         with pytest.raises(InvalidParameter):
             cw_config(pulse_shape="triangle")
+
+    def test_nonzero_g2_0_rejected(self):
+        """The simulator draws one ideal emitter and would ignore g2_0."""
+        with pytest.raises(InvalidParameter, match="g2_0"):
+            SimConfig(emitter=EmitterParams(w_p=0.01, gamma=0.02, g2_0=0.8),
+                      duration=1e6, seed=3)
+        with pytest.raises(InvalidParameter, match="g2_0"):
+            SimConfig.from_dict({"emitter": {"w_p": 0.01, "g2_0": 0.1},
+                                 "duration": 1e6, "seed": 3})
+
+    def test_background_per_channel(self):
+        cfg = cw_config(dark_rate_per_channel=0.25, background_rate=1.5)
+        assert cfg.background_per_channel == 1.0
