@@ -21,6 +21,7 @@ from . import correlate as corr
 from . import fit as fitmod
 from . import geometry as geom
 from . import io as fio
+from .emitter import DEFAULT_GAMMA, PULSE_SHAPES
 from .errors import FiberPhotonError
 from .sim import SimConfig, simulate_streams
 
@@ -28,6 +29,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
+
+#: The keys a pipeline config and its correlate and fit sections may hold.
+_PIPELINE_KEYS = {"pipeline": {"simulate", "correlate", "fit"},
+                  "correlate": {"window", "bin_width"},
+                  "fit": {"model", "tau_o", "fit_halfwidth"}}
 
 
 def _outdir(args) -> Path:
@@ -42,19 +48,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _given(args, *names) -> dict:
+    """The named options that were given on the command line."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _build_sim_config(args) -> SimConfig:
-    if args.pulsed and (args.tau_o is None or args.period is None):
-        raise FiberPhotonError("--pulsed requires --tau-o and --period")
     return SimConfig.from_dict({
         "emitter": {"w_p": args.wp, "gamma": args.gamma},
-        "pulse": {"tau_o": args.tau_o, "period": args.period} if args.pulsed else None,
+        "pulse": _given(args, "tau_o", "period", "shape") or None,
         "duration": args.duration,
         "seed": args.seed,
         "detection_efficiency": args.efficiency,
         "dark_rate_per_channel": args.dark_rate,
         "background_rate": args.background_rate,
         "jitter_sigma": args.jitter,
-        "pulse_shape": args.pulse_shape,
     })
 
 
@@ -83,6 +91,9 @@ def _load_streams(paths):
 
 
 def cmd_correlate(args) -> int:
+    peak_opts = _given(args, "peak_halfwidth", "background_per_bin")
+    if peak_opts and args.period is None:
+        raise FiberPhotonError("--peak-halfwidth/--background-per-bin need --period")
     s1, s2 = _load_streams(args.streams)
     h = corr.cross_correlate(s1, s2, window=args.window, bin_width=args.bin,
                              n_chunks=args.workers)
@@ -94,12 +105,8 @@ def cmd_correlate(args) -> int:
     hist_path = out / f"{args.prefix}.csv"
     fio.write_histogram_csv(hist_path, h)
     print(f"wrote {hist_path} ({h.total_pairs} pairs)")
-    if args.integrate_peaks:
-        if args.period is None:
-            raise FiberPhotonError("--integrate-peaks requires --period")
-        peaks = corr.integrate_peaks(h, period=args.period,
-                                     peak_halfwidth=args.peak_halfwidth,
-                                     background_per_bin=args.background_per_bin)
+    if args.period is not None:
+        peaks = corr.integrate_peaks(h, period=args.period, **peak_opts)
         peaks_path = out / f"{args.prefix}.peaks.json"
         fio.write_peaks_report(peaks_path, peaks)
         print(f"g2_int = {peaks.g2_int:.4f} +- {peaks.g2_int_sigma:.4f} "
@@ -162,19 +169,35 @@ def cmd_geometry(args) -> int:
     return EXIT_OK
 
 
+def _pipeline_section(name: str, section) -> dict:
+    """A pipeline config section ({} if left out or null), checked for
+    unknown keys."""
+    section = section or {}
+    if not isinstance(section, dict):
+        raise FiberPhotonError(f"the {name} config must be a JSON object")
+    unknown = sorted(set(section) - _PIPELINE_KEYS[name])
+    if unknown:
+        raise FiberPhotonError(f"unknown {name} config keys {unknown}")
+    return section
+
+
 def cmd_pipeline(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = _pipeline_section("pipeline", json.loads(Path(args.config).read_text()))
     out = _outdir(args)
     cfg = SimConfig.from_dict(config["simulate"])
-    cor_cfg = config.get("correlate", {})
-    fit_cfg = config.get("fit") or {}
+    cor_cfg = _pipeline_section("correlate", config.get("correlate"))
+    fit_cfg = _pipeline_section("fit", config.get("fit"))
     model = fit_cfg.get("model", "cw")
     if model == "pulsed" and cfg.pulse is None:
         raise FiberPhotonError("a pulsed fit needs a simulate.pulse section")
-    if model == "pulsed" and cfg.pulse_shape != "exponential":
+    if model == "pulsed" and cfg.pulse.shape != "exponential":
         raise FiberPhotonError(
             "a pulsed fit models the exponential pulse envelope, not a "
-            f"{cfg.pulse_shape} one")
+            f"{cfg.pulse.shape} one")
+    tau_o = cfg.pulse.tau_o if cfg.pulse else None
+    if fit_cfg.get("tau_o", tau_o) != tau_o:
+        raise FiberPhotonError(
+            f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
 
     s1, s2 = _write_streams(out / "stream.csv", cfg)
     h = corr.cross_correlate(
@@ -195,8 +218,7 @@ def cmd_pipeline(args) -> int:
     print(f"pipeline outputs in {out}")
     if not fit_cfg:
         return EXIT_OK
-    result = _fit_histogram(h, model, fit_cfg.get("tau_o"),
-                            fit_cfg.get("fit_halfwidth"))
+    result = _fit_histogram(h, model, tau_o, fit_cfg.get("fit_halfwidth"))
     return _report_fit(out / "fit.json", result)
 
 
@@ -210,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate detection timestamp streams")
     p.add_argument("--wp", type=float, required=True, help="pump rate (1/ns)")
-    p.add_argument("--gamma", type=float, default=1e-6, help="decay rate (1/ns)")
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                   help="decay rate (1/ns)")
     p.add_argument("--duration", type=float, required=True, help="acquisition (ns)")
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
-    p.add_argument("--pulsed", action="store_true", help="pulsed pumping")
     p.add_argument("--tau-o", type=float, dest="tau_o", help="pulse width (ns)")
     p.add_argument("--period", type=float, help="pulse period (ns)")
     p.add_argument("--efficiency", type=float, default=1.0)
@@ -222,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-rate", type=float, default=0.0,
                    help="total background events/ns")
     p.add_argument("--jitter", type=float, default=0.0, help="jitter sigma (ns)")
-    p.add_argument("--pulse-shape", choices=["exponential", "rectangular"],
-                   default="exponential")
+    p.add_argument("--pulse-shape", dest="shape", choices=PULSE_SHAPES,
+                   help="pulse envelope (default exponential)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="stream")
     p.set_defaults(func=cmd_simulate)
@@ -233,11 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=corr.DEFAULT_CW_WINDOW)
     p.add_argument("--bin", type=float, default=corr.DEFAULT_BIN_WIDTH)
     p.add_argument("--normalize", choices=["cw", "none"], default="cw")
-    p.add_argument("--integrate-peaks", action="store_true")
-    p.add_argument("--period", type=float, help="pulse period (ns)")
+    p.add_argument("--period", type=float, help="pulse period (ns): integrate peaks")
     p.add_argument("--peak-halfwidth", type=float,
-                   default=corr.DEFAULT_PEAK_HALFWIDTH)
-    p.add_argument("--background-per-bin", type=float, default=0.0)
+                   help=f"ns (default {corr.DEFAULT_PEAK_HALFWIDTH})")
+    p.add_argument("--background-per-bin", type=float, help="counts (default 0)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="histogram")

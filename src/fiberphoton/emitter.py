@@ -24,6 +24,9 @@ from .errors import DegenerateInput, InvalidParameter
 #: Documented default radiative decay rate (1/ns): lifetime ~1 ms.
 DEFAULT_GAMMA = 1e-6
 
+#: Pulse envelope shapes of the time-dependent pump rate.
+PULSE_SHAPES = ("exponential", "rectangular")
+
 
 @dataclass(frozen=True)
 class EmitterParams:
@@ -62,12 +65,15 @@ class EmitterParams:
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Exponential pulse envelope: time constant tau_o and repetition period (ns)."""
+    """Pump pulse train: width tau_o, period (ns) and envelope shape (PULSE_SHAPES)."""
 
     tau_o: float
     period: float
+    shape: str = "exponential"
 
     def __post_init__(self):
+        if self.shape not in PULSE_SHAPES:
+            raise InvalidParameter(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
         if not (self.tau_o > 0):
             raise InvalidParameter(f"tau_o must be > 0, got {self.tau_o}")
         if not (self.period > self.tau_o):

@@ -31,9 +31,6 @@ import numpy as np
 from .emitter import EmitterParams, PulseParams, SaturationParams
 from .errors import InvalidParameter
 
-#: Pulse envelope shapes for the time-dependent pump rate.
-PULSE_SHAPES = ("exponential", "rectangular")
-
 #: Emissions in a row that decay inside their own pulse before the pulsed
 #: event loop hands the following pulses to the vectorized pass.
 _HANDOFF = 128
@@ -45,7 +42,8 @@ _BLOCK = 1 << 19
 class SimConfig:
     """Full configuration of one simulated acquisition.
 
-    pulse=None means cw pumping.  Rates are events/ns; duration in ns.
+    pulse=None means cw pumping, else pulse.shape sets the pump envelope.
+    Rates are events/ns; duration in ns.
     dead_time reserves a per-channel detector dead time (default 0: off).
     """
 
@@ -58,7 +56,6 @@ class SimConfig:
     background_rate: float = 0.0
     jitter_sigma: float = 0.0
     dead_time: float = 0.0
-    pulse_shape: str = "exponential"
 
     def __post_init__(self):
         if not (self.duration > 0):
@@ -73,10 +70,6 @@ class SimConfig:
             raise InvalidParameter(
                 "the simulator models one ideal emitter, so emitter.g2_0 must "
                 f"be 0, got {self.emitter.g2_0}; mix in background instead")
-        if self.pulse_shape not in PULSE_SHAPES:
-            raise InvalidParameter(
-                f"pulse_shape must be one of {PULSE_SHAPES}, got {self.pulse_shape!r}"
-            )
 
     @property
     def background_per_channel(self) -> float:
@@ -159,24 +152,24 @@ def _cw_emissions(p: EmitterParams, duration: float,
     return np.concatenate(out) if out else np.empty(0)
 
 
-def _pulse_hazard_remaining(s, w0, pulse: PulseParams, shape: str):
+def _pulse_hazard_remaining(s, w0, pulse: PulseParams):
     """Integrated pump hazard from in-pulse time s to the end of the period."""
-    if shape == "exponential":
+    if pulse.shape == "exponential":
         return (w0 * pulse.tau_o / 2.0) * (
             np.exp(-2.0 * s / pulse.tau_o) - math.exp(-2.0 * pulse.period / pulse.tau_o)
         )
     return w0 * np.maximum(pulse.tau_o - s, 0.0)
 
 
-def _pulse_invert_hazard(s, e, w0, pulse: PulseParams, shape: str):
+def _pulse_invert_hazard(s, e, w0, pulse: PulseParams):
     """In-pulse excitation time given elapsed hazard e from time s."""
-    if shape == "exponential":
+    if pulse.shape == "exponential":
         arg = np.exp(-2.0 * s / pulse.tau_o) - 2.0 * e / (w0 * pulse.tau_o)
         return -(pulse.tau_o / 2.0) * np.log(arg)
     return s + e / w0
 
 
-def _pulse_blocks(p: EmitterParams, pulse: PulseParams, shape: str, first: int,
+def _pulse_blocks(p: EmitterParams, pulse: PulseParams, first: int,
                   n_pulses: int, rng: np.random.Generator):
     """Pulses first .. n_pulses - 1 side by side, in blocks of 1, 2, 4 .. _BLOCK.
 
@@ -190,9 +183,9 @@ def _pulse_blocks(p: EmitterParams, pulse: PulseParams, shape: str, first: int,
         times, owners = [], []
         while idx.size:
             e = rng.exponential(1.0, idx.size)
-            excited = e < _pulse_hazard_remaining(s[idx], p.w_p, pulse, shape)
+            excited = e < _pulse_hazard_remaining(s[idx], p.w_p, pulse)
             idx, e = idx[excited], e[excited]
-            t_em = (_pulse_invert_hazard(s[idx], e, p.w_p, pulse, shape)
+            t_em = (_pulse_invert_hazard(s[idx], e, p.w_p, pulse)
                     + rng.exponential(1.0 / p.gamma, idx.size))
             times.append((first + idx) * pulse.period + t_em)
             owners.append(idx)
@@ -209,10 +202,10 @@ def _pulse_blocks(p: EmitterParams, pulse: PulseParams, shape: str, first: int,
     return out, math.inf
 
 
-def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, shape: str,
-                      duration: float, rng: np.random.Generator) -> np.ndarray:
+def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, duration: float,
+                      rng: np.random.Generator) -> np.ndarray:
     """The pulsed event loop, handing runs of pulses to _pulse_blocks."""
-    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse, shape))
+    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse))
     if h_full <= 0:
         return np.empty(0)
     n_pulses = math.ceil(duration / pulse.period)
@@ -222,11 +215,11 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, shape: str,
         if not excited:
             e = rng.exponential(1.0)
             phase = t % pulse.period
-            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse, shape))
+            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
             if e < h0:
-                t += float(_pulse_invert_hazard(phase, e, p.w_p, pulse, shape)) - phase
+                t += float(_pulse_invert_hazard(phase, e, p.w_p, pulse)) - phase
             elif streak >= _HANDOFF:
-                blocks, t = _pulse_blocks(p, pulse, shape, int(t // pulse.period) + 1,
+                blocks, t = _pulse_blocks(p, pulse, int(t // pulse.period) + 1,
                                           n_pulses, rng)
                 out += [run, *blocks]
                 run, streak = [], 0
@@ -234,7 +227,7 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, shape: str,
             else:
                 skip, e = divmod(e - h0, h_full)
                 t += ((skip + 1) * pulse.period - phase
-                      + float(_pulse_invert_hazard(0.0, e, p.w_p, pulse, shape)))
+                      + float(_pulse_invert_hazard(0.0, e, p.w_p, pulse)))
         k = t // pulse.period
         t += rng.exponential(1.0 / p.gamma)
         excited, streak = False, (streak + 1 if t // pulse.period == k else 0)
@@ -247,8 +240,8 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     """Emission times (ns) of the emitter over the acquisition.
 
     cw: alternating exponential pump and decay waits.  Pulsed: the pump rate
-    is modulated by the pulse envelope (one-sided exponential of width tau_o
-    by default, rectangular as an option) restarting every period; the one
+    is modulated by the pulse envelope (cfg.pulse.shape: one-sided exponential
+    of width tau_o, or rectangular) restarting every period; the one
     sampler described in the module docstring is exact for any gamma, starts
     excited with probability rho_e0 and pumps the last partial pulse.
     """
@@ -258,7 +251,7 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
         return np.empty(0)
     if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
-    return _pulsed_emissions(p, cfg.pulse, cfg.pulse_shape, cfg.duration, rng)
+    return _pulsed_emissions(p, cfg.pulse, cfg.duration, rng)
 
 
 def _make_strict(times: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from fiberphoton import io as fio
 from fiberphoton.cli import main
 from fiberphoton.correlate import CoincidenceHistogram, make_edges
-from fiberphoton.emitter import EmitterParams, PulseParams
+from fiberphoton.emitter import PULSE_SHAPES, EmitterParams, PulseParams
 from fiberphoton.errors import MalformedFile
 from fiberphoton.sim import (SimConfig, TimestampStream, simulate_emission,
                              simulate_streams)
@@ -301,9 +302,28 @@ class TestCliSimulate:
         assert code == 2
 
     def test_pulsed_requires_pulse_flags(self, tmp_path):
-        code = main(["simulate", "--wp", "0.5", "--pulsed",
+        code = main(["simulate", "--wp", "0.5", "--tau-o", "6",
                      "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])
         assert code == 2
+
+    def test_pulse_shape_without_pulse_exits_2(self, tmp_path):
+        code = main(["simulate", "--wp", "0.5", "--pulse-shape", "rectangular",
+                     "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "stream.csv").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pulse=st.one_of(
+        st.none(),
+        st.builds(PulseParams, tau_o=st.floats(0.1, 50.0),
+                  period=st.floats(51.0, 1e4),
+                  shape=st.sampled_from(PULSE_SHAPES))),
+        seed=st.integers(0, 2**32), jitter=st.floats(0.0, 10.0))
+    def test_sidecar_dict_round_trips(self, pulse, seed, jitter):
+        """The sidecar schema is dataclasses.asdict of the SimConfig."""
+        cfg = SimConfig(emitter=EmitterParams(w_p=0.5, gamma=0.3, rho_e0=0.5),
+                        duration=1e5, seed=seed, pulse=pulse, jitter_sigma=jitter)
+        assert SimConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestCliCorrelate:
@@ -331,11 +351,11 @@ class TestCliCorrelate:
                      "--out", str(tmp_path)]) == 0
 
     def test_integrate_peaks_report(self, tmp_path):
-        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3", "--pulsed",
+        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3",
                      "--tau-o", "6", "--period", "100", "--duration", "1e5",
                      "--seed", "4", "--out", str(tmp_path)]) == 0
         assert main(["correlate", str(tmp_path / "stream.csv"), "--window", "1000",
-                     "--integrate-peaks", "--period", "100",
+                     "--period", "100",
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "histogram.peaks.json").read_text())
         assert sorted(report) == ["background_per_bin", "g2_int", "g2_int_sigma",
@@ -347,6 +367,14 @@ class TestCliCorrelate:
         bad = tmp_path / "bad.csv"
         bad.write_text("channel,time_ns\n1,zzz\n")
         assert main(["correlate", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--peak-halfwidth", "--background-per-bin"])
+    def test_peak_options_without_period_exit_2(self, tmp_path, capsys, flag):
+        stream = self._simulate(tmp_path)
+        assert main(["correlate", str(stream), flag, "10",
+                     "--out", str(tmp_path)]) == 2
+        assert "--period" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
 
     @pytest.mark.parametrize("head, tail", [
         (b"channel,time_\xffns\r\n", b""),
@@ -419,7 +447,7 @@ class TestCliFit:
     def test_pulsed_fit_of_cw_normalized_histogram_exits_2(self, tmp_path, capsys):
         """`correlate` normalizes for the cw model; a pulsed fit of its output
         would pin g2_0 and w_p at their bounds."""
-        assert main(["simulate", "--wp", "1.3", "--gamma", "2.0", "--pulsed",
+        assert main(["simulate", "--wp", "1.3", "--gamma", "2.0",
                      "--tau-o", "6", "--period", "100", "--duration", "1e6",
                      "--seed", "0", "--background-rate", "0.00268",
                      "--out", str(tmp_path)]) == 0
@@ -547,13 +575,47 @@ class TestCliPipeline:
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1, "jitter": 0.1},
          "jitter"),
         ([0.2, 1e5, 1], "simulate"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "pulse_shape": "exponential"}, "pulse_shape"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
         assert word in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, word", [
+        ({"correlate": {"windw": 450.0}}, "windw"),
+        ({"fit": {"model": "cw", "halfwidth": 49.0}}, "halfwidth"),
+        ({"fti": {"model": "cw"}}, "fti"),
+        ({"correlate": [450.0]}, "correlate"),
+    ], ids=["correlate-key", "fit-key", "section", "not-an-object"])
+    def test_bad_pipeline_section_exits_2(self, tmp_path, capsys, config, word):
+        simulate = {"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1}
+        assert self._pipeline(tmp_path, {"simulate": simulate, **config}) == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "out" / "stream.csv").exists()
+
+    def test_pulsed_fit_tau_o_comes_from_the_pulse(self, tmp_path, capsys):
+        """fit.tau_o may be left out; given, it must equal simulate.pulse.tau_o."""
+        config = {"simulate": {"emitter": {"w_p": 1.3, "gamma": 2.0},
+                               "pulse": {"tau_o": 6.0, "period": 100.0},
+                               "duration": 1e7, "seed": 5,
+                               "background_rate": 0.00268},
+                  "correlate": {"window": 450.0, "bin_width": 1.0},
+                  "fit": {"model": "pulsed", "fit_halfwidth": 49.0}}
+        for run in ("without", "with", "other"):
+            (tmp_path / run).mkdir()
+        assert self._pipeline(tmp_path / "without", config) == 0
+        config["fit"]["tau_o"] = 6.0
+        assert self._pipeline(tmp_path / "with", config) == 0
+        assert ((tmp_path / "with" / "out" / "fit.json").read_bytes()
+                == (tmp_path / "without" / "out" / "fit.json").read_bytes())
+        config["fit"]["tau_o"] = 3.0
+        assert self._pipeline(tmp_path / "other", config) == 2
+        assert "tau_o" in capsys.readouterr().err
+        assert not (tmp_path / "other" / "out" / "stream.csv").exists()
+
     def test_simulate_sidecar_is_a_pipeline_section(self, tmp_path):
-        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3", "--pulsed",
+        assert main(["simulate", "--wp", "0.5", "--gamma", "0.3",
                      "--tau-o", "6", "--period", "100", "--duration", "1e5",
                      "--seed", "4", "--dark-rate", "1e-4", "--jitter", "0.3",
                      "--out", str(tmp_path / "sim")]) == 0
@@ -572,8 +634,8 @@ class TestCliPipeline:
         """The pulsed normalization and model assume the exponential
         envelope."""
         config = {"simulate": {"emitter": {"w_p": 1.3, "gamma": 2.0},
-                               "pulse": {"tau_o": 6.0, "period": 100.0},
-                               "pulse_shape": "rectangular",
+                               "pulse": {"tau_o": 6.0, "period": 100.0,
+                                         "shape": "rectangular"},
                                "duration": 1e6, "seed": 1},
                   "correlate": {"window": 450.0},
                   "fit": {"model": "pulsed", "tau_o": 6.0}}

@@ -21,7 +21,7 @@ from fiberphoton.sim import (
 
 # Test oracle: the plain pulsed event loop, with no handoff to the vectorized
 # pass, so it is exact by construction for any gamma.
-def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams, shape: str,
+def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
                                  duration: float,
                                  rng: np.random.Generator) -> np.ndarray:
     """General event loop for pulsed pumping, exact for any gamma.
@@ -32,7 +32,7 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams, shape: st
     """
     if p.gamma == 0:
         return np.empty(0)
-    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse, shape))
+    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse))
     if h_full <= 0:
         return np.empty(0)
     out = []
@@ -42,16 +42,16 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams, shape: st
         if not excited:
             e = rng.exponential(1.0)
             phase = t % pulse.period
-            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse, shape))
+            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
             if e < h0:
-                t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse, shape))
+                t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse))
                 t = t - phase + t_exc
             else:
                 e -= h0
                 skip = math.floor(e / h_full)
                 e -= skip * h_full
                 t = t - phase + (skip + 1) * pulse.period
-                t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse, shape))
+                t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse))
             if t > duration:
                 break
         t += rng.exponential(1.0 / p.gamma)
@@ -148,11 +148,11 @@ class TestPulsedSamplers:
         if handoff is not None:
             monkeypatch.setattr("fiberphoton.sim._HANDOFF", handoff)
         p = EmitterParams(w_p=w_p, gamma=gamma)
-        pulse = PulseParams(tau_o=6.0, period=100.0)
-        oracle = _pulsed_emissions_sequential(p, pulse, shape, duration,
+        pulse = PulseParams(tau_o=6.0, period=100.0, shape=shape)
+        oracle = _pulsed_emissions_sequential(p, pulse, duration,
                                               np.random.default_rng(1000))
         em = simulate_emission(SimConfig(emitter=p, pulse=pulse, duration=duration,
-                                         seed=2000, pulse_shape=shape))
+                                         seed=2000))
         assert np.all(np.diff(em) > 0) and em[-1] <= duration
         edges = np.append(np.quantile(np.concatenate([oracle, em]) % 100.0,
                                       [0.1, 0.25, 0.5, 0.75, 0.9]), np.inf)
@@ -205,8 +205,8 @@ class TestPulsedSamplers:
         # With a rectangular pulse and fast decay, excitation happens only
         # inside [0, tau_o); emission trails by ~1/gamma.
         cfg = SimConfig(emitter=EmitterParams(w_p=1.0, gamma=5.0),
-                        pulse=PulseParams(tau_o=6.0, period=100.0),
-                        duration=1e6, seed=12, pulse_shape="rectangular")
+                        pulse=PulseParams(tau_o=6.0, period=100.0, shape="rectangular"),
+                        duration=1e6, seed=12)
         em = simulate_emission(cfg)
         phase = em % 100.0
         assert np.mean(phase < 6.0 + 5.0 / 5.0) > 0.99
@@ -318,7 +318,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             cw_config(dark_rate_per_channel=-1.0)
         with pytest.raises(InvalidParameter):
-            cw_config(pulse_shape="triangle")
+            PulseParams(tau_o=6.0, period=100.0, shape="triangle")
 
     def test_nonzero_g2_0_rejected(self):
         """The simulator draws one ideal emitter and would ignore g2_0."""
