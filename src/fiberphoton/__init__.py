@@ -21,7 +21,6 @@ from .emitter import (
     g2_cw_reduced,
     g2_integrated_zero,
     g2_pulsed,
-    invert_background,
     pump_rate_from_integrated,
 )
 from .sim import SimConfig, TimestampStream, detect_hbt, simulate_emission, simulate_streams

@@ -66,17 +66,17 @@ def _build_sim_config(args) -> SimConfig:
     })
 
 
-def _write_streams(stream_path: Path, cfg: SimConfig):
-    """Simulate cfg and write its stream CSV and sidecar."""
-    streams = simulate_streams(cfg)
+def _write_streams(stream_path: Path, cfg: SimConfig, streams):
+    """Write the streams simulated from cfg and their sidecar."""
     fio.write_stream_csv(stream_path, streams)
     fio.write_sim_sidecar(fio.sidecar_path(stream_path), cfg)
-    return streams
 
 
 def cmd_simulate(args) -> int:
+    cfg = _build_sim_config(args)
+    s1, s2 = streams = simulate_streams(cfg)
     stream_path = _outdir(args) / f"{args.prefix}.csv"
-    s1, s2 = _write_streams(stream_path, _build_sim_config(args))
+    _write_streams(stream_path, cfg, streams)
     print(f"wrote {stream_path} ({s1.times.size} + {s2.times.size} events)")
     return EXIT_OK
 
@@ -90,23 +90,40 @@ def _load_streams(paths):
     return fio.read_stream_csv(paths[0])[0], fio.read_stream_csv(paths[1])[1]
 
 
+def _correlate(s1, s2, window: float, bin_width: float, workers: int,
+               sim_cfg=None):
+    """The coincidence histogram of s1 and s2, normalized pulsed with the pulse
+    and background of sim_cfg (a SimConfig) when it is given, else cw when
+    both streams hold events."""
+    h = corr.cross_correlate(s1, s2, window=window, bin_width=bin_width,
+                             n_chunks=workers)
+    if h.total_pairs == 0:
+        print("warning: no coincidences in window", file=sys.stderr)
+    if sim_cfg is not None:
+        # The rest of each channel's rate is emitter signal.
+        b = sim_cfg.background_per_channel
+        return corr.normalize_pulsed(h, period=sim_cfg.pulse.period,
+                                     tau_o=sim_cfg.pulse.tau_o,
+                                     signal_rates=(s1.rate - b, s2.rate - b),
+                                     background_rates=(b, b))
+    if s1.times.size and s2.times.size:
+        return corr.normalize_cw(h, s1.rate, s2.rate)
+    return h
+
+
 def cmd_correlate(args) -> int:
     peak_opts = _given(args, "peak_halfwidth", "background_per_bin")
     if peak_opts and args.period is None:
         raise FiberPhotonError("--peak-halfwidth/--background-per-bin need --period")
     s1, s2 = _load_streams(args.streams)
-    h = corr.cross_correlate(s1, s2, window=args.window, bin_width=args.bin,
-                             n_chunks=args.workers)
-    if h.total_pairs == 0:
-        print("warning: no coincidences in window", file=sys.stderr)
-    if args.normalize == "cw" and s1.times.size and s2.times.size:
-        h = corr.normalize_cw(h, s1.rate, s2.rate)
+    h = _correlate(s1, s2, args.window, args.bin, args.workers)
+    peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)
+             if args.period is not None else None)
     out = _outdir(args)
     hist_path = out / f"{args.prefix}.csv"
     fio.write_histogram_csv(hist_path, h)
     print(f"wrote {hist_path} ({h.total_pairs} pairs)")
-    if args.period is not None:
-        peaks = corr.integrate_peaks(h, period=args.period, **peak_opts)
+    if peaks is not None:
         peaks_path = out / f"{args.prefix}.peaks.json"
         fio.write_peaks_report(peaks_path, peaks)
         print(f"g2_int = {peaks.g2_int:.4f} +- {peaks.g2_int_sigma:.4f} "
@@ -114,16 +131,18 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _fit_histogram(h, model: str, tau_o, fit_halfwidth):
-    """Fit a normalized histogram with the cw or the pulsed g2 model."""
+def _histogram_fit(model: str, tau_o, fit_halfwidth):
+    """The cw or pulsed g2 fit of a normalized histogram, as a function of the
+    histogram, so that a bad model or a missing tau_o fails before any work."""
     if model == "cw":
-        return fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
+        return lambda h: fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
     if model != "pulsed":
         raise FiberPhotonError(f"unknown histogram fit model {model!r}")
     if tau_o is None:
-        raise FiberPhotonError("a pulsed fit requires tau_o (--tau-o, or "
-                               "tau_o in a pipeline fit section)")
-    return fitmod.fit_g2_pulsed(h, tau_o_fixed=tau_o, fit_halfwidth=fit_halfwidth)
+        raise FiberPhotonError("a pulsed fit requires tau_o (--tau-o, or a "
+                               "simulate.pulse section in a pipeline config)")
+    return lambda h: fitmod.fit_g2_pulsed(h, tau_o_fixed=tau_o,
+                                          fit_halfwidth=fit_halfwidth)
 
 
 def _report_fit(report_path: Path, result) -> int:
@@ -136,13 +155,12 @@ def _report_fit(report_path: Path, result) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = _outdir(args)
     if args.model == "saturation":
         result = fitmod.fit_saturation(fio.read_saturation_csv(args.input))
     else:
-        result = _fit_histogram(fio.read_histogram_csv(args.input), args.model,
-                                args.tau_o, args.fit_halfwidth)
-    return _report_fit(out / f"{args.prefix}.json", result)
+        fit = _histogram_fit(args.model, args.tau_o, args.fit_halfwidth)
+        result = fit(fio.read_histogram_csv(args.input))
+    return _report_fit(_outdir(args) / f"{args.prefix}.json", result)
 
 
 def cmd_geometry(args) -> int:
@@ -163,8 +181,7 @@ def cmd_geometry(args) -> int:
         fio.write_sweep_csv(path, *geom.confinement_sweep(args.n))
         print(f"wrote {path}")
     else:
-        g = geom.FiberGeometry(a=1.0, n=args.n, r=args.r_over_a,
-                               wavelength=args.wavelength)
+        g = geom.FiberGeometry(a=1.0, n=args.n, r=args.r_over_a, wavelength=1.0)
         print(f"{geom.confinement_efficiency(g):.6f}")
     return EXIT_OK
 
@@ -183,43 +200,33 @@ def _pipeline_section(name: str, section) -> dict:
 
 def cmd_pipeline(args) -> int:
     config = _pipeline_section("pipeline", json.loads(Path(args.config).read_text()))
-    out = _outdir(args)
+    if "simulate" not in config:
+        raise FiberPhotonError("the pipeline config lacks its simulate section")
     cfg = SimConfig.from_dict(config["simulate"])
     cor_cfg = _pipeline_section("correlate", config.get("correlate"))
     fit_cfg = _pipeline_section("fit", config.get("fit"))
     model = fit_cfg.get("model", "cw")
-    if model == "pulsed" and cfg.pulse is None:
-        raise FiberPhotonError("a pulsed fit needs a simulate.pulse section")
+    tau_o = cfg.pulse.tau_o if cfg.pulse else None
+    fit = _histogram_fit(model, tau_o, fit_cfg.get("fit_halfwidth"))
     if model == "pulsed" and cfg.pulse.shape != "exponential":
         raise FiberPhotonError(
             "a pulsed fit models the exponential pulse envelope, not a "
             f"{cfg.pulse.shape} one")
-    tau_o = cfg.pulse.tau_o if cfg.pulse else None
     if fit_cfg.get("tau_o", tau_o) != tau_o:
         raise FiberPhotonError(
             f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
 
-    s1, s2 = _write_streams(out / "stream.csv", cfg)
-    h = corr.cross_correlate(
-        s1, s2,
-        window=cor_cfg.get("window", corr.DEFAULT_CW_WINDOW),
-        bin_width=cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH),
-        n_chunks=args.workers,
-    )
-    if model == "pulsed":
-        # The rest of each channel's rate is emitter signal.
-        b = cfg.background_per_channel
-        h = corr.normalize_pulsed(h, period=cfg.pulse.period, tau_o=cfg.pulse.tau_o,
-                                  signal_rates=(s1.rate - b, s2.rate - b),
-                                  background_rates=(b, b))
-    elif s1.times.size and s2.times.size:
-        h = corr.normalize_cw(h, s1.rate, s2.rate)
+    streams = simulate_streams(cfg)
+    h = _correlate(*streams, cor_cfg.get("window", corr.DEFAULT_CW_WINDOW),
+                   cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH), args.workers,
+                   sim_cfg=cfg if model == "pulsed" else None)
+    out = _outdir(args)
+    _write_streams(out / "stream.csv", cfg, streams)
     fio.write_histogram_csv(out / "histogram.csv", h)
     print(f"pipeline outputs in {out}")
     if not fit_cfg:
         return EXIT_OK
-    result = _fit_histogram(h, model, tau_o, fit_cfg.get("fit_halfwidth"))
-    return _report_fit(out / "fit.json", result)
+    return _report_fit(out / "fit.json", fit(h))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("streams", nargs="+", help="one two-channel CSV or two CSVs")
     p.add_argument("--window", type=float, default=corr.DEFAULT_CW_WINDOW)
     p.add_argument("--bin", type=float, default=corr.DEFAULT_BIN_WIDTH)
-    p.add_argument("--normalize", choices=["cw", "none"], default="cw")
     p.add_argument("--period", type=float, help="pulse period (ns): integrate peaks")
     p.add_argument("--peak-halfwidth", type=float,
                    help=f"ns (default {corr.DEFAULT_PEAK_HALFWIDTH})")
@@ -284,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("confinement")
     g.add_argument("--n", type=float, required=True)
     g.add_argument("--r-over-a", type=float, dest="r_over_a", default=0.9)
-    g.add_argument("--lambda", type=float, dest="wavelength", default=1.0)
     g.add_argument("--sweep", action="store_true")
     g.add_argument("--out", help="output directory")
     g.set_defaults(func=cmd_geometry)
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FiberPhotonError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail(EXIT_CONFIG, f"bad configuration: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))

@@ -182,7 +182,8 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float,
 
     rate1/rate2 are per-channel event rates in events/ns.  Poissonian input
     normalizes to 1 in every bin within statistical error.  Zero-count bins
-    get norm_err equal to the one-count error and a low-statistics flag.
+    get norm_err equal to the one-count error; a histogram whose counts are
+    all zero is flagged low-statistics.
     """
     if rate1 <= 0 or rate2 <= 0:
         raise DegenerateInput("per-channel rates must be > 0 to normalize")
@@ -190,9 +191,8 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float,
     norm = h.counts / denom
     err = np.sqrt(np.maximum(h.counts, 1)) / denom
     flags = list(h.flags)
-    if np.all(h.counts == 0):
-        if "low-statistics" not in flags:
-            flags.append("low-statistics")
+    if np.all(h.counts == 0) and "low-statistics" not in flags:
+        flags.append("low-statistics")
     return replace(h, norm=norm, norm_err=err, flags=flags, normalization="cw")
 
 

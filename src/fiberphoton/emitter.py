@@ -15,7 +15,6 @@ normalization's envelope and ground truth for the stochastic simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,15 +91,6 @@ class BackgroundMix:
         if not (0.0 <= self.rho <= 1.0):
             raise InvalidParameter(f"rho must lie in [0, 1], got {self.rho}")
 
-    @classmethod
-    def from_intensities(cls, i_em: float, i_bg: float) -> "BackgroundMix":
-        if i_em < 0 or i_bg < 0:
-            raise InvalidParameter("intensities must be >= 0")
-        total = i_em + i_bg
-        if total == 0:
-            raise DegenerateInput("both intensities are zero; rho undefined")
-        return cls(i_em / total)
-
 
 def excited_population(p: EmitterParams, tau):
     """Excited-state population rho_e(tau) for tau >= 0.
@@ -127,8 +117,9 @@ def g2_cw(p: EmitterParams, tau):
 def g2_cw_reduced(g2_0: float, w_p: float, tau):
     """Reduced cw fit model 1 - (1 - g2_0) exp(-w_p |tau|).
 
-    Valid when gamma << w_p, so 2/w_p sets the antibunching dip width; this is
-    the form used to fit measured cw histograms.
+    This is the form used to fit measured cw histograms, and 2/w_p is the
+    antibunching dip width.  A fitted w_p is the dip rate w_p + gamma of
+    g2_cw, so it equals the pump rate only when gamma << w_p.
     """
     tau = np.abs(np.asarray(tau, dtype=float))
     out = 1.0 - (1.0 - g2_0) * np.exp(-w_p * tau)
@@ -140,15 +131,26 @@ def pulse_envelope(tau, tau_o: float):
     return np.exp(-2.0 * np.abs(tau) / tau_o)
 
 
+def _exponential(pulse: PulseParams) -> PulseParams:
+    """The pulse, whose envelope must be the exponential one modelled here."""
+    if pulse.shape != "exponential":
+        raise InvalidParameter(
+            f"the pulsed curves model the exponential pulse envelope, not a "
+            f"{pulse.shape} one")
+    return pulse
+
+
 def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):
     """Pulsed autocorrelation: exponential pulse envelope times the reduced dip.
 
     g2(tau) = exp(-2 tau / tau_o) * [1 - (1 - g2_0) exp(-w_p tau)],  tau >= 0.
+    Raises InvalidParameter for a pulse of another shape.
     """
+    tau_o = _exponential(pulse).tau_o
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameter("tau must be >= 0 for the pulsed model")
-    out = pulse_envelope(tau, pulse.tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
+    out = pulse_envelope(tau, tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
     return out if out.ndim else float(out)
 
 
@@ -173,35 +175,14 @@ def g2_background_mixed(g2, mix: BackgroundMix):
     return out if out.ndim else float(out)
 
 
-class InvertedG2(NamedTuple):
-    """Result of removing background from a measured g2 value.
-
-    `negative` is set when noise pushed the corrected value below zero; the
-    value is returned unclamped.
-    """
-
-    value: float
-    negative: bool
-
-
-def invert_background(g2_exp: float, mix: BackgroundMix) -> InvertedG2:
-    """Invert the background mixing: g2 = (g2_exp - 1 + rho^2) / rho^2.
-
-    Exact algebraic inverse of g2_background_mixed.  Raises DegenerateInput at
-    rho = 0 where the emitter contributes nothing and the inverse is undefined.
-    """
-    if mix.rho == 0:
-        raise DegenerateInput("rho = 0: background inversion undefined")
-    value = (g2_exp - 1.0 + mix.rho**2) / mix.rho**2
-    return InvertedG2(value=value, negative=value < 0)
-
-
 def g2_integrated_zero(p: EmitterParams, pulse: PulseParams) -> float:
     """Pulse-integrated zero-delay autocorrelation:
 
     g2_int(0) = 1 - (1 + w_p tau_o / 2)^-1 * (1 - g2_0)
+
+    Raises InvalidParameter for a pulse that is not exponential.
     """
-    return 1.0 - (1.0 - p.g2_0) / (1.0 + p.w_p * pulse.tau_o / 2.0)
+    return 1.0 - (1.0 - p.g2_0) / (1.0 + p.w_p * _exponential(pulse).tau_o / 2.0)
 
 
 def pump_rate_from_integrated(g2_int: float, g2_0: float, tau_o: float) -> float:

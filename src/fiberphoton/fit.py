@@ -255,8 +255,10 @@ def fit_g2_cw(h: CoincidenceHistogram,
               fit_halfwidth: Optional[float] = None) -> FitResult:
     """Fit the reduced cw dip 1 - (1 - g2_0) exp(-w_p |tau|).
 
-    Reports g2_0 and w_p (plus the derived dip width 2/w_p).  A flat
-    histogram leaves w_p unidentifiable and is flagged 'degenerate-data'.
+    Reports g2_0 and w_p (plus the derived dip width 2/w_p).  The reported
+    w_p is the dip rate w_p + gamma, equal to the pump rate only when
+    gamma << w_p.  A flat histogram leaves w_p unidentifiable and is flagged
+    'degenerate-data'.
     """
     tau, y, err = _normalized(h, "cw", fit_halfwidth)
 

@@ -148,13 +148,12 @@ def wgm_mode_numbers(g: FiberGeometry) -> list[int]:
     return [m for m in range(max(first, 1), last + 1) if lo < m < hi]
 
 
-def confinement_sweep(n: float, a: float = 1.0, wavelength: float = 1.0,
-                      num: int = 101) -> tuple[np.ndarray, np.ndarray]:
-    """Confinement efficiency versus r/a on a uniform grid in [0, 1]."""
-    ratios = np.linspace(0.0, 1.0, num)
+def confinement_sweep(n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Confinement efficiency versus r/a on a uniform grid of 101 points in
+    [0, 1]; it depends only on n and r/a."""
+    ratios = np.linspace(0.0, 1.0, 101)
     eta = np.array([
-        confinement_efficiency(FiberGeometry(a=a, n=n, r=x * a, wavelength=wavelength))
+        confinement_efficiency(FiberGeometry(a=1.0, n=n, r=x, wavelength=1.0))
         for x in ratios
     ])
     return ratios, eta
-

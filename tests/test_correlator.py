@@ -18,7 +18,6 @@ from fiberphoton.correlate import (
     normalize_cw,
     normalize_pulsed,
 )
-from fiberphoton.emitter import BackgroundMix
 from fiberphoton.errors import (
     DegenerateInput,
     InsufficientPeaks,
@@ -358,10 +357,6 @@ class TestHelpers:
         assert val == pytest.approx(((3e-3) ** 2 - (2e-3) ** 2) * 1e6)
         with pytest.raises(InvalidParameter):
             background_coincidence_rate(-1.0, 0.0, 1.0, 1.0)
-
-    def test_intensity_ratio(self):
-        mix = BackgroundMix.from_intensities(1500.0, 150.0)
-        assert mix.rho == pytest.approx(1500.0 / 1650.0)
 
     def test_histogram_validation(self):
         with pytest.raises(InvalidParameter):

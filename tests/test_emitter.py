@@ -14,7 +14,6 @@ from fiberphoton.emitter import (
     g2_cw_reduced,
     g2_integrated_zero,
     g2_pulsed,
-    invert_background,
     pump_rate_from_integrated,
 )
 from fiberphoton.errors import DegenerateInput, InvalidParameter
@@ -117,26 +116,8 @@ class TestBackgroundMixing:
         for _ in range(100):
             rho = rng.uniform(0.05, 1.0)
             g2 = rng.uniform(0.0, 1.5)
-            mix = BackgroundMix(rho=rho)
-            back = invert_background(g2_background_mixed(g2, mix), mix)
-            assert abs(back.value - g2) < 1e-12
-            assert not back.negative
-
-    def test_negative_flagged_not_clamped(self):
-        mix = BackgroundMix(rho=0.5)
-        res = invert_background(0.7, mix)  # below the floor 1 - rho^2 = 0.75
-        assert res.negative
-        assert res.value == pytest.approx((0.7 - 1.0 + 0.25) / 0.25)
-
-    def test_rho_zero_raises(self):
-        with pytest.raises(DegenerateInput):
-            invert_background(1.0, BackgroundMix(rho=0.0))
-
-    def test_from_intensities(self):
-        mix = BackgroundMix.from_intensities(1500.0, 150.0)
-        assert mix.rho == pytest.approx(1500.0 / 1650.0)
-        with pytest.raises(DegenerateInput):
-            BackgroundMix.from_intensities(0.0, 0.0)
+            mixed = g2_background_mixed(g2, BackgroundMix(rho=rho))
+            assert abs((mixed - 1.0 + rho**2) / rho**2 - g2) < 1e-12
 
 
 class TestIntegratedZero:
@@ -175,6 +156,15 @@ class TestIntegratedZero:
             g2i = g2_integrated_zero(p, pulse)
             width = pump_rate_from_integrated(g2i, g2_0, tau_o)
             assert abs(width - 2.0 / w_p) < 1e-9 * max(1.0, 2.0 / w_p)
+
+    def test_rectangular_pulse_rejected(self):
+        """The pulsed curves hold for the exponential envelope only."""
+        p = EmitterParams(w_p=0.3)
+        pulse = PulseParams(tau_o=6.0, period=100.0, shape="rectangular")
+        with pytest.raises(InvalidParameter, match="rectangular"):
+            g2_integrated_zero(p, pulse)
+        with pytest.raises(InvalidParameter, match="rectangular"):
+            g2_pulsed(p, pulse, 1.0)
 
     def test_degenerate_inversion(self):
         with pytest.raises(DegenerateInput):

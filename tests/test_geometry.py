@@ -81,8 +81,8 @@ class TestSamplingOracle:
 
 class TestSweeps:
     def test_confinement_sweep_shape(self):
-        ratios, eta = confinement_sweep(1.45, num=51)
-        assert ratios.size == eta.size == 51
+        ratios, eta = confinement_sweep(1.45)
+        assert ratios.size == eta.size == 101
         assert eta[0] == 0.0
         assert eta[-1] == pytest.approx(0.5155, abs=1e-3)
 

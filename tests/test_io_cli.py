@@ -376,6 +376,18 @@ class TestCliCorrelate:
         assert "--period" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
 
+    @pytest.mark.parametrize("options, word", [
+        (["--period", "100", "--peak-halfwidth", "60"], "peak_halfwidth"),
+        (["--window", "100", "--period", "100"], "no side peak"),
+    ], ids=["halfwidth-beyond-half-period", "window-without-side-peak"])
+    def test_peaks_that_cannot_be_integrated_write_nothing(self, tmp_path, capsys,
+                                                          options, word):
+        stream = self._simulate(tmp_path)
+        out = tmp_path / "out"
+        assert main(["correlate", str(stream), *options, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     @pytest.mark.parametrize("head, tail", [
         (b"channel,time_\xffns\r\n", b""),
         (b"channel,time_ns\r\n1,1.0\r\n", b"\xff,2.0\r\n"),
@@ -401,8 +413,7 @@ class TestCliCorrelate:
     def test_empty_input_warns_exits_0(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("channel,time_ns\n")
-        code = main(["correlate", str(empty), "--normalize", "none",
-                     "--out", str(tmp_path)])
+        code = main(["correlate", str(empty), "--out", str(tmp_path)])
         assert code == 0
         assert "no coincidences" in capsys.readouterr().err
 
@@ -593,6 +604,33 @@ class TestCliPipeline:
         assert self._pipeline(tmp_path, {"simulate": simulate, **config}) == 2
         assert word in capsys.readouterr().err
         assert not (tmp_path / "out" / "stream.csv").exists()
+
+    @pytest.mark.parametrize("simulate, config, word", [
+        ({}, {"fit": {"model": "pulsd"}}, "pulsd"),
+        ({"pulse": {"tau_o": 6.0, "period": 100.0}},
+         {"correlate": {"window": 120.0}, "fit": {"model": "pulsed"}},
+         "no side peak"),
+    ], ids=["unknown-model", "window-without-side-peak"])
+    def test_config_errors_write_nothing(self, tmp_path, capsys, simulate,
+                                         config, word):
+        simulate = {"emitter": {"w_p": 1.3, "gamma": 2.0}, "duration": 1e5,
+                    "seed": 1, **simulate}
+        assert self._pipeline(tmp_path, {"simulate": simulate, **config}) == 2
+        assert word in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))
+
+    def test_missing_simulate_section_exits_2(self, tmp_path, capsys):
+        assert self._pipeline(tmp_path, {"fit": {"model": "cw"}}) == 2
+        assert "simulate section" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        """Only the package's own errors exit 2; a KeyError is a bug."""
+        def broken(cfg):
+            raise KeyError("internal")
+        monkeypatch.setattr("fiberphoton.cli.simulate_streams", broken)
+        with pytest.raises(KeyError):
+            self._pipeline(tmp_path, {"simulate": {"emitter": {"w_p": 0.2},
+                                                   "duration": 1e5, "seed": 1}})
 
     def test_pulsed_fit_tau_o_comes_from_the_pulse(self, tmp_path, capsys):
         """fit.tau_o may be left out; given, it must equal simulate.pulse.tau_o."""
