@@ -135,14 +135,17 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
     _PAIR_BLOCK, so memory does not grow with the number of pairs.
     Stream 1 may be partitioned into n_chunks contiguous chunks whose partial
     integer histograms are summed, so the result does not depend on n_chunks.
-    The chunks run on at most os.cpu_count() threads.
+    The chunks run on at most os.cpu_count() threads; n_chunks < 1 raises
+    InvalidParameter.
     """
+    if n_chunks < 1:
+        raise InvalidParameter(f"n_chunks must be at least 1, got {n_chunks}")
     if abs(s1.duration - s2.duration) > 1e-9 * max(s1.duration, s2.duration):
         raise InvalidParameter(
             f"stream durations differ: {s1.duration} vs {s2.duration}"
         )
     edges = make_edges(window, bin_width)
-    n_chunks = max(1, int(n_chunks))
+    n_chunks = int(n_chunks)
     bounds = np.linspace(0, s1.times.size, n_chunks + 1).astype(int)
     chunks = [s1.times[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     if n_chunks == 1:

@@ -9,11 +9,14 @@ centre, so the edges, which are the histogram's extent, read back as written.
 Every reader raises MalformedFile for input that does not match its format, a
 row with a missing or an extra cell and bytes that are not UTF-8 included.
 
-Stream CSVs hold millions of rows, so their rows skip the csv module: the
-writer joins the reprs of a block of times into one string, and the reader
-parses the whole body with one np.loadtxt call.  Only a file that loadtxt
-rejects, that has a channel other than 1 or 2, or that holds a NUL byte is
-scanned row by row to report the line of the first bad row.
+Stream CSVs hold millions of rows, so their rows skip the csv module.  The
+writer builds the rows of a block of times in numpy: exact int64 arithmetic
+on each time's mantissa finds repr's shortest round-trip digits, and only
+times below 1 or from 2**52 up, powers of two and times midway between two
+shortest candidates are formatted by repr itself.  The reader parses the
+whole body with one np.loadtxt call.  Only a file that loadtxt rejects, that
+has a channel other than 1 or 2, or that holds a NUL byte is scanned row by
+row to report the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -104,21 +107,116 @@ def _sidecar(csv_path) -> dict:
         raise MalformedFile(f"{path}: not UTF-8 JSON ({exc})") from exc
 
 
-#: Times per fh.write: bounds the joined string at ~1.5 MB.
+#: Times per fh.write: bounds the row matrix of _stream_rows at ~2.5 MB and
+#: each of its int64 temporaries at 0.5 MB.
 _WRITE_BLOCK = 2**16
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _shortest_digits(times):
+    """The shortest round-trip digits of the float64 times t in [1, 2**52),
+    in exact int64 arithmetic.
+
+    With t = M * 2**-b, the integer part is M >> b and the first k fraction
+    digits D are floor(r * 10**k / 2**b) for the remainder r = M mod 2**b.
+    D / 10**k reads back as t when it lies less than half an ulp (2**-b / 2)
+    below t, and (D + 1) / 10**k when that lies less than half an ulp above;
+    the first k where either holds is repr's length, and the nearer one its
+    digits.  Returns (integer, fraction, k, exact): exact is False, and the
+    row is left to repr, for t outside that range and for two candidates
+    equally near, where repr breaks the tie.  Every value stays below 2**56.
+
+    Three more cases need no repr.  A power of two, whose ulp below is half
+    the ulp above, is an integer here, and its first digit, 0, is exact.  A
+    candidate exactly half an ulp from t has b + 1 fraction digits, but some
+    k <= b has 10**k / 2 >= 2**b and ends the loop.  A carry, D + 1 = 10**k,
+    would write the float (M >> b) + 1, which lies at least one ulp from t.
+    """
+    bits = times.view(np.int64)
+    exponent = bits >> 52                     # negative for a negative time
+    exact = (exponent >= 1023) & (exponent <= 1074)
+    b = np.where(exact, 1075 - exponent, 1)
+    ulp = np.left_shift(1, b)                 # 2**b, one ulp in units of r
+    low = ulp - 1
+    mantissa = np.where(exact, bits & (2**52 - 1) | 2**52, 0)
+    integer = mantissa >> b
+    r = mantissa & low
+    digits = np.zeros_like(bits)
+    out = np.zeros_like(bits)
+    k = np.zeros_like(bits)
+    todo = exact.copy()
+    for n in range(1, 17):                   # 2**52 < 10**16 / 2: done at 16
+        r *= 10
+        digits *= 10
+        digits += r >> b
+        r &= low
+        half = _POW10[n] // 2
+        above = ulp - r
+        done = todo & (np.minimum(r, above) <= half)
+        if not done.any():
+            continue
+        np.copyto(out, digits + (above < r), where=done)
+        np.copyto(k, n, where=done)
+        exact &= ~done | (r != above)
+        todo &= ~done
+        if not todo.any():
+            break
+    return integer, out, k, exact
+
+
+def _stream_rows(prefix: bytes, times) -> bytes:
+    """The rows prefix + repr(t) + CRLF of a block of times, built in numpy.
+
+    Each row is a line of a uint8 matrix: prefix | integer digits | "." |
+    fraction digits | CRLF, with the unused digit cells left 0; dropping
+    every 0 byte leaves the rows.  The matrix is built transposed, so that
+    each column write is contiguous.  Rows _shortest_digits leaves inexact
+    hold repr(t) after the prefix.
+    """
+    integer, fraction, k, exact = _shortest_digits(times)
+    for a in (integer, fraction, k):
+        a[~exact] = 0
+    reprs = [repr(t).encode() for t in times[~exact].tolist()]
+    width = max(map(len, reprs), default=0)
+    n_int, n_frac = len(str(integer.max())), int(k.max())
+    body = max(n_int + 1 + n_frac, width)
+    p = len(prefix)
+    cols = np.zeros((p + body + 2, times.size), dtype=np.uint8)
+    cols[:p] = np.frombuffer(prefix, dtype=np.uint8)[:, None]
+    q = integer
+    for j in range(p + n_int - 1, p - 1, -1):   # last digit first, no zeros ahead
+        tens = q // 10
+        cols[j] = (q - 10 * tens + ord("0")) * (q > 0)
+        q = tens
+    cols[p + n_int] = ord(".") * exact
+    q = fraction * _POW10[n_frac - k]         # k digits, then 0 cells
+    for i in range(n_frac - 1, -1, -1):
+        tens = q // 10
+        cols[p + n_int + 1 + i] = (q - 10 * tens + ord("0")) * (i < k)
+        q = tens
+    cols[-2:] = np.frombuffer(b"\r\n", dtype=np.uint8)[:, None]
+    if reprs:
+        cells = b"".join(s.ljust(width, b"\0") for s in reprs)
+        cols[p:p + width, ~exact] = np.frombuffer(cells, np.uint8).reshape(-1, width).T
+    rows = np.ascontiguousarray(cols.T)
+    return rows[rows != 0].tobytes()
 
 
 def write_stream_csv(path, streams: tuple[TimestampStream, TimestampStream]):
     """Write both channels into one CSV: header channel,time_ns, then one
-    channel,repr(time) row per event, ended by CRLF as csv writes rows."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(STREAM_HEADER) + "\r\n")
+    channel,repr(time) row per event, ended by CRLF as csv writes rows.
+
+    The rows of each block of _WRITE_BLOCK times are built in numpy by
+    _stream_rows, with repr's shortest round-trip digits; times below 1 or
+    from 2**52 up, and times midway between two shortest candidates, are
+    written with repr itself.
+    """
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(STREAM_HEADER) + "\r\n").encode())
         for s in streams:
-            prefix = f"{s.channel},"
+            prefix = f"{s.channel},".encode()
             for i in range(0, s.times.size, _WRITE_BLOCK):
-                block = s.times[i:i + _WRITE_BLOCK].tolist()
-                fh.write(prefix + ("\r\n" + prefix).join(map(repr, block))
-                         + "\r\n")
+                fh.write(_stream_rows(prefix, s.times[i:i + _WRITE_BLOCK]))
 
 
 #: A lookup here instead of int() keeps a channel cell exactly "1" or "2".

@@ -179,6 +179,13 @@ class TestBruteForceOracle:
         with pytest.raises(InvalidParameter):
             cross_correlate(s1, s2, window=10.0)
 
+    @pytest.mark.parametrize("n_chunks", [0, -3])
+    def test_chunk_count_below_one_rejected(self, n_chunks):
+        s1 = stream([1.0], 100.0, 1)
+        s2 = stream([1.0], 100.0, 2)
+        with pytest.raises(InvalidParameter, match="n_chunks"):
+            cross_correlate(s1, s2, window=10.0, n_chunks=n_chunks)
+
     def test_unsorted_rejected(self):
         """A stream is checked once, at construction, and cannot be unsorted
         afterwards."""

@@ -20,6 +20,27 @@ from fiberphoton.sim import (SimConfig, TimestampStream, simulate_emission,
                              simulate_streams)
 
 
+def reference_write_stream_csv(path, streams):
+    """The stream writer whose rows were the joined reprs of each block: the
+    oracle for the bytes of fio.write_stream_csv."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(fio.STREAM_HEADER) + "\r\n")
+        for s in streams:
+            prefix = f"{s.channel},"
+            for i in range(0, s.times.size, fio._WRITE_BLOCK):
+                block = s.times[i:i + fio._WRITE_BLOCK].tolist()
+                fh.write(prefix + ("\r\n" + prefix).join(map(repr, block))
+                         + "\r\n")
+
+
+def assert_writes_like_reference(streams):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "stream.csv", Path(tmp) / "reference.csv"
+        fio.write_stream_csv(path, streams)
+        reference_write_stream_csv(ref, streams)
+        assert path.read_bytes() == ref.read_bytes()
+
+
 def small_config(seed=1):
     return SimConfig(emitter=EmitterParams(w_p=0.01, gamma=0.02),
                      duration=1e5, seed=seed)
@@ -93,6 +114,33 @@ class TestStreamCsv:
             b"channel,time_ns\r\n1,0.0\r\n1,0.3333333333333333\r\n"
             b"1,500000000.0\r\n1,500000000.00000006\r\n"
             b"2,2.5e-07\r\n2,1e+16\r\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False,
+                              allow_subnormal=True)
+                    # [1, 2**52), where the row builder writes the digits itself
+                    | st.floats(1.0, 2.0**52), unique=True))
+    @example([0.0, 5e-324, 2.5e-07])                  # below 1: repr
+    @example([float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0))])
+    @example([1 / 3, 2.0, float(np.nextafter(2.0, 3.0))])   # 2.0: a power of two
+    @example([2**52 - 0.5, 2.0**52, float(np.nextafter(2.0**52, np.inf))])
+    @example([1e16])                                  # beyond 2**52: repr
+    @example([895478557193099.75])                    # a tie: repr
+    @example([9999999.999999998, 1e7, float(np.nextafter(1e7, np.inf))])
+    @example([5e8, float(np.nextafter(5e8, np.inf))])
+    def test_writer_bytes_match_the_repr_join(self, times):
+        """The numpy row builder writes the bytes of the repr join."""
+        assert_writes_like_reference(tuple(
+            TimestampStream(channel=ch, times=sorted(times), duration=1e300)
+            for ch in (1, 2)))
+
+    def test_simulated_stream_bytes_match_the_repr_join(self):
+        """A cw stream of three write blocks per channel, byte for byte."""
+        cfg = SimConfig(emitter=EmitterParams(w_p=0.2, gamma=0.4),
+                        duration=3e6, seed=11)
+        streams = simulate_streams(cfg)
+        assert min(s.times.size for s in streams) > 2 * fio._WRITE_BLOCK
+        assert_writes_like_reference(streams)
 
     def test_round_trip_across_write_blocks(self, tmp_path):
         """2**16 + 1 events per channel: one more than a write block."""
@@ -399,6 +447,14 @@ class TestCliCorrelate:
         assert main(["correlate", str(bad), "--out", str(tmp_path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        stream = self._simulate(tmp_path)
+        out = tmp_path / "out"
+        assert main(["correlate", str(stream), "--workers", "0",
+                     "--out", str(out)]) == 2
+        assert "n_chunks" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_than_two_stream_paths_exit_2(self, tmp_path, capsys):
         stream = str(self._simulate(tmp_path))
         assert main(["correlate", stream, stream, stream,
@@ -618,6 +674,15 @@ class TestCliPipeline:
         assert self._pipeline(tmp_path, {"simulate": simulate, **config}) == 2
         assert word in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulate": {
+            "emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1}}))
+        assert main(["pipeline", "--config", str(cfg), "--workers", "-3",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "n_chunks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_simulate_section_exits_2(self, tmp_path, capsys):
         assert self._pipeline(tmp_path, {"fit": {"model": "cw"}}) == 2
