@@ -12,11 +12,11 @@ row with a missing or an extra cell and bytes that are not UTF-8 included.
 Stream CSVs hold millions of rows, so their rows skip the csv module.  The
 writer builds the rows of a block of times in numpy: exact int64 arithmetic
 on each time's mantissa finds repr's shortest round-trip digits, and only
-times below 1 or from 2**52 up, powers of two and times midway between two
-shortest candidates are formatted by repr itself.  The reader parses the
-whole body with one np.loadtxt call.  Only a file that loadtxt rejects, that
-has a channel other than 1 or 2, or that holds a NUL byte is scanned row by
-row to report the line of the first bad row.
+times below 1 or from 2**52 up and times midway between two shortest
+candidates are formatted by repr itself.  The reader parses the whole body
+with one np.loadtxt call.  Only a file that loadtxt rejects, that has a
+channel other than 1 or 2, or that holds a NUL byte is scanned row by row to
+report the line of the first bad row.
 """
 
 from __future__ import annotations
