@@ -21,7 +21,7 @@ from . import correlate as corr
 from . import fit as fitmod
 from . import geometry as geom
 from . import io as fio
-from .emitter import DEFAULT_GAMMA, PULSE_SHAPES
+from .emitter import DEFAULT_GAMMA
 from .errors import FiberPhotonError
 from .sim import SimConfig, simulate_streams
 
@@ -56,7 +56,7 @@ def _given(args, *names) -> dict:
 def _build_sim_config(args) -> SimConfig:
     return SimConfig.from_dict({
         "emitter": {"w_p": args.wp, "gamma": args.gamma},
-        "pulse": _given(args, "tau_o", "period", "shape") or None,
+        "pulse": _given(args, "tau_o", "period") or None,
         "duration": args.duration,
         "seed": args.seed,
         "detection_efficiency": args.efficiency,
@@ -64,6 +64,12 @@ def _build_sim_config(args) -> SimConfig:
         "background_rate": args.background_rate,
         "jitter_sigma": args.jitter,
     })
+
+
+def _check_workers(workers: int):
+    """--workers is cross_correlate's n_chunks, checked before any work."""
+    if workers < 1:
+        raise FiberPhotonError(f"--workers (n_chunks) must be >= 1, got {workers}")
 
 
 def _write_streams(stream_path: Path, cfg: SimConfig, streams):
@@ -115,6 +121,7 @@ def cmd_correlate(args) -> int:
     peak_opts = _given(args, "peak_halfwidth", "background_per_bin")
     if peak_opts and args.period is None:
         raise FiberPhotonError("--peak-halfwidth/--background-per-bin need --period")
+    _check_workers(args.workers)
     s1, s2 = _load_streams(args.streams)
     h = _correlate(s1, s2, args.window, args.bin, args.workers)
     peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)
@@ -208,10 +215,7 @@ def cmd_pipeline(args) -> int:
     model = fit_cfg.get("model", "cw")
     tau_o = cfg.pulse.tau_o if cfg.pulse else None
     fit = _histogram_fit(model, tau_o, fit_cfg.get("fit_halfwidth"))
-    if model == "pulsed" and cfg.pulse.shape != "exponential":
-        raise FiberPhotonError(
-            "a pulsed fit models the exponential pulse envelope, not a "
-            f"{cfg.pulse.shape} one")
+    _check_workers(args.workers)
     if fit_cfg.get("tau_o", tau_o) != tau_o:
         raise FiberPhotonError(
             f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
@@ -251,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-rate", type=float, default=0.0,
                    help="total background events/ns")
     p.add_argument("--jitter", type=float, default=0.0, help="jitter sigma (ns)")
-    p.add_argument("--pulse-shape", dest="shape", choices=PULSE_SHAPES,
-                   help="pulse envelope (default exponential)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="stream")
     p.set_defaults(func=cmd_simulate)

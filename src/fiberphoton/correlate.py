@@ -86,8 +86,8 @@ def make_edges(window: float, bin_width: float) -> np.ndarray:
     1e-9 relative tolerance), so no bin reaches past the window, where pairs
     are cut and an outer bin would be only partly filled.
     """
-    if window <= 0 or bin_width <= 0:
-        raise InvalidParameter("window and bin_width must be > 0")
+    if not (0 < window < np.inf and 0 < bin_width < np.inf):
+        raise InvalidParameter("window and bin_width must be finite and > 0")
     n_half = int(np.floor(window / bin_width * (1.0 + 1e-9)))
     if n_half < 1:
         raise InvalidParameter("window must cover at least one bin")
@@ -264,8 +264,12 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
     that the bin edges hold whole, subtracts the expected uncorrelated
     background per peak, and returns the zero-peak to mean-side-peak ratio.
     """
-    if peak_halfwidth > period / 2.0:
-        raise InvalidParameter("peak_halfwidth must be <= period/2")
+    if not (0 < period < np.inf):
+        raise InvalidParameter(f"period must be finite and > 0, got {period}")
+    if not (0 <= peak_halfwidth <= period / 2.0):
+        raise InvalidParameter("peak_halfwidth must lie in [0, period/2]")
+    if not (0 <= background_per_bin < np.inf):
+        raise InvalidParameter("background_per_bin must be finite and >= 0")
     side_sums = [int(h.counts[sel].sum())
                  for _, sel in _side_peaks(h, period, peak_halfwidth)]
     zero = np.abs(h.centers) <= peak_halfwidth

@@ -2,10 +2,11 @@
 
 Population dynamics of a pumped emitter (ground state pumped at rate w_p into
 a radiative state that decays at rate gamma) and the second-order
-autocorrelation curves derived from it: the cw dip, the pulse envelope and
-the pulsed dip, their background mix, and the pulse-integrated zero-delay
-value; plus the power-saturation law.  All rates are in 1/ns and all times in
-ns; a millisecond-scale radiative lifetime is simply gamma = 1e-6 /ns.
+autocorrelation curves derived from it: the cw dip, the pulse envelope
+exp(-2|tau|/tau_o), its pump hazard and the pulsed dip, their background
+mix, and the pulse-integrated zero-delay value; plus the power-saturation
+law.  All rates are in 1/ns and all times in ns; a millisecond-scale
+radiative lifetime is simply gamma = 1e-6 /ns.
 
 Each curve is written here only.  The functions accept scalar or ndarray time
 arguments and are pure, so they serve as the fit models, the pulsed
@@ -14,6 +15,7 @@ normalization's envelope and ground truth for the stochastic simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,6 @@ from .errors import DegenerateInput, InvalidParameter
 
 #: Documented default radiative decay rate (1/ns): lifetime ~1 ms.
 DEFAULT_GAMMA = 1e-6
-
-#: Pulse envelope shapes of the time-dependent pump rate.
-PULSE_SHAPES = ("exponential", "rectangular")
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,10 @@ class EmitterParams:
     rho_e0: float = 0.0
 
     def __post_init__(self):
-        if not (self.w_p > 0):
-            raise InvalidParameter(f"pump rate w_p must be > 0, got {self.w_p}")
-        if self.gamma < 0:
-            raise InvalidParameter(f"decay rate gamma must be >= 0, got {self.gamma}")
+        if not (0 < self.w_p < math.inf):
+            raise InvalidParameter(f"w_p must be finite and > 0, got {self.w_p}")
+        if not (0 <= self.gamma < math.inf):
+            raise InvalidParameter(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 <= self.g2_0 <= 1.0):
             raise InvalidParameter(f"g2_0 must lie in [0, 1], got {self.g2_0}")
         if not (0.0 <= self.rho_e0 <= 1.0):
@@ -64,21 +63,17 @@ class EmitterParams:
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Pump pulse train: width tau_o, period (ns) and envelope shape (PULSE_SHAPES)."""
+    """Pump pulse train of envelope exp(-2|tau|/tau_o): width tau_o, period (ns)."""
 
     tau_o: float
     period: float
-    shape: str = "exponential"
 
     def __post_init__(self):
-        if self.shape not in PULSE_SHAPES:
-            raise InvalidParameter(f"pulse shape {self.shape!r} not in {PULSE_SHAPES}")
         if not (self.tau_o > 0):
             raise InvalidParameter(f"tau_o must be > 0, got {self.tau_o}")
-        if not (self.period > self.tau_o):
-            raise InvalidParameter(
-                f"period must exceed tau_o, got period={self.period}, tau_o={self.tau_o}"
-            )
+        if not (self.tau_o < self.period < math.inf):
+            raise InvalidParameter(f"period must be finite and exceed tau_o, got "
+                                   f"period={self.period}, tau_o={self.tau_o}")
 
 
 @dataclass(frozen=True)
@@ -131,26 +126,31 @@ def pulse_envelope(tau, tau_o: float):
     return np.exp(-2.0 * np.abs(tau) / tau_o)
 
 
-def _exponential(pulse: PulseParams) -> PulseParams:
-    """The pulse, whose envelope must be the exponential one modelled here."""
-    if pulse.shape != "exponential":
-        raise InvalidParameter(
-            f"the pulsed curves model the exponential pulse envelope, not a "
-            f"{pulse.shape} one")
-    return pulse
+# The pulsed sampler's pump hazard, of rate w0 * exp(-2 s/tau_o) at in-pulse
+# time s >= 0.  The streams' bytes rest on np.exp of s and math.exp of the
+# period term, which can differ from np.exp in the last bit: keep both.
+def _pulse_hazard_remaining(s, w0, pulse: PulseParams):
+    """Integrated pump hazard from in-pulse time s to the end of the period."""
+    return (w0 * pulse.tau_o / 2.0) * (
+        np.exp(-2.0 * s / pulse.tau_o) - math.exp(-2.0 * pulse.period / pulse.tau_o)
+    )
+
+
+def _pulse_invert_hazard(s, e, w0, pulse: PulseParams):
+    """In-pulse excitation time given elapsed hazard e from time s."""
+    arg = np.exp(-2.0 * s / pulse.tau_o) - 2.0 * e / (w0 * pulse.tau_o)
+    return -(pulse.tau_o / 2.0) * np.log(arg)
 
 
 def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):
     """Pulsed autocorrelation: exponential pulse envelope times the reduced dip.
 
     g2(tau) = exp(-2 tau / tau_o) * [1 - (1 - g2_0) exp(-w_p tau)],  tau >= 0.
-    Raises InvalidParameter for a pulse of another shape.
     """
-    tau_o = _exponential(pulse).tau_o
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameter("tau must be >= 0 for the pulsed model")
-    out = pulse_envelope(tau, tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
+    out = pulse_envelope(tau, pulse.tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
     return out if out.ndim else float(out)
 
 
@@ -179,10 +179,8 @@ def g2_integrated_zero(p: EmitterParams, pulse: PulseParams) -> float:
     """Pulse-integrated zero-delay autocorrelation:
 
     g2_int(0) = 1 - (1 + w_p tau_o / 2)^-1 * (1 - g2_0)
-
-    Raises InvalidParameter for a pulse that is not exponential.
     """
-    return 1.0 - (1.0 - p.g2_0) / (1.0 + p.w_p * _exponential(pulse).tau_o / 2.0)
+    return 1.0 - (1.0 - p.g2_0) / (1.0 + p.w_p * pulse.tau_o / 2.0)
 
 
 def pump_rate_from_integrated(g2_int: float, g2_0: float, tau_o: float) -> float:

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .emitter import EmitterParams, PulseParams, SaturationParams
+from .emitter import (EmitterParams, PulseParams, SaturationParams,
+                      _pulse_hazard_remaining, _pulse_invert_hazard)
 from .errors import InvalidParameter
 
 #: Emissions in a row that decay inside their own pulse before the pulsed
@@ -42,8 +43,8 @@ _BLOCK = 1 << 19
 class SimConfig:
     """Full configuration of one simulated acquisition.
 
-    pulse=None means cw pumping, else pulse.shape sets the pump envelope.
-    Rates are events/ns; duration in ns.
+    pulse=None means cw pumping, else the pump follows the pulse train.
+    Rates are events/ns; duration in ns; every number must be finite.
     dead_time reserves a per-channel detector dead time (default 0: off).
     """
 
@@ -58,14 +59,16 @@ class SimConfig:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        if not (self.duration > 0):
-            raise InvalidParameter(f"duration must be > 0, got {self.duration}")
+        if not (0 < self.duration < math.inf):
+            raise InvalidParameter(
+                f"duration must be finite and > 0, got {self.duration}")
         if not (0.0 <= self.detection_efficiency <= 1.0):
             raise InvalidParameter("detection_efficiency must lie in [0, 1]")
         for name in ("dark_rate_per_channel", "background_rate",
                      "jitter_sigma", "dead_time"):
-            if getattr(self, name) < 0:
-                raise InvalidParameter(f"{name} must be >= 0")
+            if not (0 <= getattr(self, name) < math.inf):
+                raise InvalidParameter(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.emitter.g2_0 != 0:
             raise InvalidParameter(
                 "the simulator models one ideal emitter, so emitter.g2_0 must "
@@ -97,7 +100,7 @@ class TimestampStream:
 
     Immutable once checked: times is a read-only view of the given array, so
     the stream cannot be unsorted through it while the caller's array stays
-    writable.
+    writable.  A NaN time or duration fails the checks.
     """
 
     channel: int
@@ -110,10 +113,13 @@ class TimestampStream:
         object.__setattr__(self, "times", times)
         if self.channel not in (1, 2):
             raise InvalidParameter(f"channel must be 1 or 2, got {self.channel}")
+        if not (0 < self.duration < math.inf):
+            raise InvalidParameter(
+                f"duration must be finite and > 0, got {self.duration}")
         if self.times.size:
-            if np.any(np.diff(self.times) <= 0):
+            if not np.all(np.diff(self.times) > 0):
                 raise InvalidParameter("times must be strictly increasing")
-            if self.times[0] < 0 or self.times[-1] > self.duration:
+            if not (self.times[0] >= 0 and self.times[-1] <= self.duration):
                 raise InvalidParameter("times must lie within [0, duration]")
 
     @property
@@ -150,23 +156,6 @@ def _cw_emissions(p: EmitterParams, duration: float,
             break
         t = times[-1]
     return np.concatenate(out) if out else np.empty(0)
-
-
-def _pulse_hazard_remaining(s, w0, pulse: PulseParams):
-    """Integrated pump hazard from in-pulse time s to the end of the period."""
-    if pulse.shape == "exponential":
-        return (w0 * pulse.tau_o / 2.0) * (
-            np.exp(-2.0 * s / pulse.tau_o) - math.exp(-2.0 * pulse.period / pulse.tau_o)
-        )
-    return w0 * np.maximum(pulse.tau_o - s, 0.0)
-
-
-def _pulse_invert_hazard(s, e, w0, pulse: PulseParams):
-    """In-pulse excitation time given elapsed hazard e from time s."""
-    if pulse.shape == "exponential":
-        arg = np.exp(-2.0 * s / pulse.tau_o) - 2.0 * e / (w0 * pulse.tau_o)
-        return -(pulse.tau_o / 2.0) * np.log(arg)
-    return s + e / w0
 
 
 def _pulse_blocks(p: EmitterParams, pulse: PulseParams, first: int,
@@ -240,10 +229,10 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     """Emission times (ns) of the emitter over the acquisition.
 
     cw: alternating exponential pump and decay waits.  Pulsed: the pump rate
-    is modulated by the pulse envelope (cfg.pulse.shape: one-sided exponential
-    of width tau_o, or rectangular) restarting every period; the one
-    sampler described in the module docstring is exact for any gamma, starts
-    excited with probability rho_e0 and pumps the last partial pulse.
+    is modulated by the exponential envelope of cfg.pulse (width tau_o,
+    emitter.pulse_envelope), restarting every period; the one sampler
+    described in the module docstring is exact for any gamma, starts excited
+    with probability rho_e0 and pumps the last partial pulse.
     """
     rng = _rng_children(cfg.seed, 5)[0]
     p = cfg.emitter

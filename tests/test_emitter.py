@@ -157,15 +157,6 @@ class TestIntegratedZero:
             width = pump_rate_from_integrated(g2i, g2_0, tau_o)
             assert abs(width - 2.0 / w_p) < 1e-9 * max(1.0, 2.0 / w_p)
 
-    def test_rectangular_pulse_rejected(self):
-        """The pulsed curves hold for the exponential envelope only."""
-        p = EmitterParams(w_p=0.3)
-        pulse = PulseParams(tau_o=6.0, period=100.0, shape="rectangular")
-        with pytest.raises(InvalidParameter, match="rectangular"):
-            g2_integrated_zero(p, pulse)
-        with pytest.raises(InvalidParameter, match="rectangular"):
-            g2_pulsed(p, pulse, 1.0)
-
     def test_degenerate_inversion(self):
         with pytest.raises(DegenerateInput):
             pump_rate_from_integrated(0.1, 0.1, 6.0)

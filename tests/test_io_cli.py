@@ -1,7 +1,9 @@
 """File formats and the command-line front end."""
 
+import argparse
 import dataclasses
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberphoton import io as fio
-from fiberphoton.cli import main
+from fiberphoton.cli import build_parser, main
 from fiberphoton.correlate import CoincidenceHistogram, make_edges
-from fiberphoton.emitter import PULSE_SHAPES, EmitterParams, PulseParams
+from fiberphoton.emitter import EmitterParams, PulseParams
 from fiberphoton.errors import MalformedFile
 from fiberphoton.sim import (SimConfig, TimestampStream, simulate_emission,
                              simulate_streams)
@@ -354,18 +356,11 @@ class TestCliSimulate:
                      "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])
         assert code == 2
 
-    def test_pulse_shape_without_pulse_exits_2(self, tmp_path):
-        code = main(["simulate", "--wp", "0.5", "--pulse-shape", "rectangular",
-                     "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])
-        assert code == 2
-        assert not (tmp_path / "stream.csv").exists()
-
     @settings(max_examples=60, deadline=None)
     @given(pulse=st.one_of(
         st.none(),
         st.builds(PulseParams, tau_o=st.floats(0.1, 50.0),
-                  period=st.floats(51.0, 1e4),
-                  shape=st.sampled_from(PULSE_SHAPES))),
+                  period=st.floats(51.0, 1e4))),
         seed=st.integers(0, 2**32), jitter=st.floats(0.0, 10.0))
     def test_sidecar_dict_round_trips(self, pulse, seed, jitter):
         """The sidecar schema is dataclasses.asdict of the SimConfig."""
@@ -447,12 +442,33 @@ class TestCliCorrelate:
         assert main(["correlate", str(bad), "--out", str(tmp_path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
-    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
         stream = self._simulate(tmp_path)
+        reads = []
+        monkeypatch.setattr(fio, "read_stream_csv", reads.append)
         out = tmp_path / "out"
         assert main(["correlate", str(stream), "--workers", "0",
                      "--out", str(out)]) == 2
         assert "n_chunks" in capsys.readouterr().err
+        assert not out.exists()
+        assert reads == []
+
+    @pytest.mark.parametrize("body, duration, word", [
+        ("1,1.0\r\n1,nan\r\n2,2.0\r\n2,3.0\r\n", 20.0, "increasing"),
+        ("2,1.0\r\n1,nan\r\n", None, "within"),
+        ("1,1.0\r\n1,inf\r\n2,2.0\r\n2,3.0\r\n", None, "duration"),
+        ("1,-inf\r\n1,1.0\r\n2,2.0\r\n", None, "within"),
+    ], ids=["nan-with-sidecar", "lone-nan", "inf", "minus-inf"])
+    def test_non_finite_stream_times_exit_2(self, tmp_path, capsys, body,
+                                            duration, word):
+        stream = tmp_path / "in" / "stream.csv"
+        stream.parent.mkdir()
+        stream.write_text("channel,time_ns\r\n" + body, newline="")
+        if duration is not None:
+            fio.sidecar_path(stream).write_text(json.dumps({"duration": duration}))
+        out = tmp_path / "out"
+        assert main(["correlate", str(stream), "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
         assert not out.exists()
 
     def test_more_than_two_stream_paths_exit_2(self, tmp_path, capsys):
@@ -482,6 +498,60 @@ class TestCliCorrelate:
         code = main(["correlate", str(a), str(b_dir / "stream.csv"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+
+@pytest.mark.parametrize("command, flags, word", [
+    ("simulate", ["--dark-rate", "nan"], "dark_rate_per_channel"),
+    ("simulate", ["--jitter", "nan"], "jitter_sigma"),
+    ("simulate", ["--background-rate", "inf"], "background_rate"),
+    ("simulate", ["--wp", "inf"], "w_p"),
+    ("simulate", ["--gamma", "inf"], "gamma"),
+    ("simulate", ["--gamma", "nan"], "gamma"),
+    ("simulate", ["--duration", "inf"], "duration"),
+    ("simulate", ["--tau-o", "6", "--period", "inf"], "period"),
+    ("correlate", ["--window", "nan"], "window"),
+    ("correlate", ["--window", "inf"], "window"),
+    ("correlate", ["--bin", "nan"], "bin_width"),
+    ("correlate", ["--window", "1000", "--period", "nan"], "period"),
+    ("correlate", ["--window", "1000", "--period", "100",
+                   "--peak-halfwidth", "nan"], "peak_halfwidth"),
+    ("correlate", ["--window", "1000", "--period", "100",
+                   "--background-per-bin", "nan"], "background_per_bin"),
+])
+def test_non_finite_number_flag_exits_2(tmp_path, capsys, command, flags, word):
+    """A NaN or infinite number is an invalid configuration: exit 2, no file."""
+    stream = tmp_path / "in" / "stream.csv"
+    assert main(["simulate", "--wp", "0.01", "--gamma", "0.02", "--duration",
+                 "1e5", "--seed", "1", "--out", str(stream.parent)]) == 0
+    capsys.readouterr()
+    given = {"simulate": ["--wp", "0.5", "--duration", "1e5", "--seed", "1"],
+             "correlate": [str(stream)]}[command]
+    out = tmp_path / "out"
+    assert main([command, *given, *flags, "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _parser_options(parser):
+    """Every option string of parser and of its subcommands' parsers."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_options(sub)
+
+
+def test_readme_flags_are_parser_options():
+    """Every --flag on a fiberphoton line or a comment of the README's sh
+    blocks is an option of some fiberphoton parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    ours = "\n".join(line for line in lines
+                     if line.lstrip().startswith(("fiberphoton ", "#")))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", ours))
+    assert "--workers" in flags
+    assert flags - set(_parser_options(build_parser())) == set()
 
 
 class TestCliFit:
@@ -644,6 +714,13 @@ class TestCliPipeline:
         ([0.2, 1e5, 1], "simulate"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
           "pulse_shape": "exponential"}, "pulse_shape"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "pulse": {"tau_o": 6.0, "period": 100.0, "shape": "exponential"}},
+         "shape"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "dead_time": float("nan")}, "dead_time"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "background_rate": float("inf")}, "background_rate"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
@@ -675,7 +752,9 @@ class TestCliPipeline:
         assert word in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
 
-    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
+        simulated = []
+        monkeypatch.setattr("fiberphoton.cli.simulate_streams", simulated.append)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"simulate": {
             "emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1}}))
@@ -683,6 +762,7 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "out")]) == 2
         assert "n_chunks" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert simulated == []
 
     def test_missing_simulate_section_exits_2(self, tmp_path, capsys):
         assert self._pipeline(tmp_path, {"fit": {"model": "cw"}}) == 2
@@ -732,19 +812,6 @@ class TestCliPipeline:
                                "duration": 1e5, "seed": 1},
                   "fit": {"model": "pulsed", "tau_o": 6.0}}
         assert self._pipeline(tmp_path, config) == 2
-
-    def test_pulsed_fit_of_rectangular_pulses_exits_2(self, tmp_path, capsys):
-        """The pulsed normalization and model assume the exponential
-        envelope."""
-        config = {"simulate": {"emitter": {"w_p": 1.3, "gamma": 2.0},
-                               "pulse": {"tau_o": 6.0, "period": 100.0,
-                                         "shape": "rectangular"},
-                               "duration": 1e6, "seed": 1},
-                  "correlate": {"window": 450.0},
-                  "fit": {"model": "pulsed", "tau_o": 6.0}}
-        assert self._pipeline(tmp_path, config) == 2
-        assert "rectangular" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "stream.csv").exists()
 
     @pytest.mark.parametrize("bin_width", [1 / 3, 0.1, 0.7, 1.0])
     def test_histogram_file_refits_to_the_same_report(self, tmp_path, bin_width):

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from fiberphoton.emitter import EmitterParams, PulseParams
-from fiberphoton.errors import InvalidParameter
-from fiberphoton.emitter import SaturationParams, saturation_model
-from fiberphoton.sim import (
-    SimConfig,
+from fiberphoton.emitter import (
+    EmitterParams,
+    PulseParams,
+    SaturationParams,
     _pulse_hazard_remaining,
     _pulse_invert_hazard,
+    saturation_model,
+)
+from fiberphoton.errors import InvalidParameter
+from fiberphoton.sim import (
+    SimConfig,
     detect_hbt,
     pump_for_intensity_curve,
     simulate_emission,
@@ -130,15 +134,14 @@ def _segment_counts(times, duration, edges, n_segments=50):
 
 
 class TestPulsedSamplers:
-    @pytest.mark.parametrize("w_p, gamma, shape, duration", [
-        (0.5, 0.005, "exponential", 5e6),
-        (0.2, 0.03, "exponential", 5e6),
-        (0.08, 0.15, "exponential", 1.5e7),
-        (1.3, 2.0, "exponential", 1e6),
-        (0.3, 0.05, "rectangular", 5e6),
-    ], ids=["gp0.5", "gp3", "gp15", "gp200", "rect-gp5"])
+    @pytest.mark.parametrize("w_p, gamma, duration", [
+        (0.5, 0.005, 5e6),
+        (0.2, 0.03, 5e6),
+        (0.08, 0.15, 1.5e7),
+        (1.3, 2.0, 1e6),
+    ], ids=["gp0.5", "gp3", "gp15", "gp200"])
     @pytest.mark.parametrize("handoff", [None, 0], ids=["default", "handoff0"])
-    def test_matches_event_loop_oracle(self, w_p, gamma, shape, duration, handoff,
+    def test_matches_event_loop_oracle(self, w_p, gamma, duration, handoff,
                                        monkeypatch):
         # simulate_emission against the plain event loop on independent
         # seeds: the emission count and the count below each pooled phase
@@ -148,7 +151,7 @@ class TestPulsedSamplers:
         if handoff is not None:
             monkeypatch.setattr("fiberphoton.sim._HANDOFF", handoff)
         p = EmitterParams(w_p=w_p, gamma=gamma)
-        pulse = PulseParams(tau_o=6.0, period=100.0, shape=shape)
+        pulse = PulseParams(tau_o=6.0, period=100.0)
         oracle = _pulsed_emissions_sequential(p, pulse, duration,
                                               np.random.default_rng(1000))
         em = simulate_emission(SimConfig(emitter=p, pulse=pulse, duration=duration,
@@ -200,16 +203,6 @@ class TestPulsedSamplers:
         em = simulate_emission(cfg)
         phase = em % 100.0
         assert np.mean(phase < 20.0) > 0.95
-
-    def test_rectangular_pulse_bounded_phase(self):
-        # With a rectangular pulse and fast decay, excitation happens only
-        # inside [0, tau_o); emission trails by ~1/gamma.
-        cfg = SimConfig(emitter=EmitterParams(w_p=1.0, gamma=5.0),
-                        pulse=PulseParams(tau_o=6.0, period=100.0, shape="rectangular"),
-                        duration=1e6, seed=12)
-        em = simulate_emission(cfg)
-        phase = em % 100.0
-        assert np.mean(phase < 6.0 + 5.0 / 5.0) > 0.99
 
     def test_mean_occupancy_matches_first_excitation_probability(self):
         # With a 0.02-ns decay the reset is instant, so excitations form a
@@ -317,8 +310,10 @@ class TestConfigValidation:
             cw_config(detection_efficiency=1.5)
         with pytest.raises(InvalidParameter):
             cw_config(dark_rate_per_channel=-1.0)
-        with pytest.raises(InvalidParameter):
-            PulseParams(tau_o=6.0, period=100.0, shape="triangle")
+        with pytest.raises(InvalidParameter, match="shape"):
+            SimConfig.from_dict({"emitter": {"w_p": 0.01}, "duration": 1e6,
+                                 "seed": 3, "pulse": {"tau_o": 6.0, "period": 100.0,
+                                                      "shape": "exponential"}})
 
     def test_nonzero_g2_0_rejected(self):
         """The simulator draws one ideal emitter and would ignore g2_0."""
