@@ -35,7 +35,7 @@ def main():
     s1, s2 = simulate_streams(cfg)
     print(f"  channel 1: {s1.times.size} events, channel 2: {s2.times.size}")
 
-    h = cross_correlate(s1, s2, window=60.0, bin_width=1.0, n_chunks=4)
+    h = cross_correlate(s1, s2, window=60.0, bin_width=1.0)
     h = normalize_cw(h, s1.rate, s2.rate)
     print(f"  histogram: {h.total_pairs} pairs in +-60 ns")
 

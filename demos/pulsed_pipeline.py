@@ -55,7 +55,7 @@ def main():
     duration = 5e7
     s1, s2, r_sig, bg_rate = acquire(w_p=1.3, gamma=2.0, rho=rho,
                                      duration=duration)
-    h = cross_correlate(s1, s2, window=450.0, bin_width=1.0, n_chunks=4)
+    h = cross_correlate(s1, s2, window=450.0, bin_width=1.0)
     print(f"  histogram: {h.total_pairs} coincidence pairs in +-450 ns")
     hn = normalize_pulsed(h, period=PERIOD, tau_o=TAU_O,
                           signal_rates=(r_sig / 2, r_sig / 2),
@@ -69,7 +69,7 @@ def main():
     duration = 1e8
     s1, s2, r_sig, bg_rate = acquire(w_p=0.08, gamma=0.15, rho=0.64,
                                      duration=duration)
-    h = cross_correlate(s1, s2, window=1000.0, bin_width=1.0, n_chunks=4)
+    h = cross_correlate(s1, s2, window=1000.0, bin_width=1.0)
     bg_bin = background_coincidence_rate(r_sig / 2, bg_rate / 2, 1.0, duration)
     pk = integrate_peaks(h, period=PERIOD, peak_halfwidth=17.5,
                          background_per_bin=bg_bin)

@@ -66,9 +66,10 @@ def _build_sim_config(args) -> SimConfig:
     })
 
 
-def _check_workers(workers: int):
-    """--workers is cross_correlate's n_chunks, checked before any work."""
-    if workers < 1:
+def _check_workers(workers: int | None):
+    """--workers is cross_correlate's n_chunks (None: every core), checked
+    before any work."""
+    if workers is not None and workers < 1:
         raise FiberPhotonError(f"--workers (n_chunks) must be >= 1, got {workers}")
 
 
@@ -96,7 +97,7 @@ def _load_streams(paths):
     return fio.read_stream_csv(paths[0])[0], fio.read_stream_csv(paths[1])[1]
 
 
-def _correlate(s1, s2, window: float, bin_width: float, workers: int,
+def _correlate(s1, s2, window: float, bin_width: float, workers: int | None,
                sim_cfg=None):
     """The coincidence histogram of s1 and s2, normalized pulsed with the pulse
     and background of sim_cfg (a SimConfig) when it is given, else cw when
@@ -140,7 +141,9 @@ def cmd_correlate(args) -> int:
 
 def _histogram_fit(model: str, tau_o, fit_halfwidth):
     """The cw or pulsed g2 fit of a normalized histogram, as a function of the
-    histogram, so that a bad model or a missing tau_o fails before any work."""
+    histogram, so that a bad model, a missing tau_o or a bad fit_halfwidth
+    fails before any work."""
+    fitmod.check_fit_halfwidth(fit_halfwidth)
     if model == "cw":
         return lambda h: fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
     if model != "pulsed":
@@ -267,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-halfwidth", type=float,
                    help=f"ns (default {corr.DEFAULT_PEAK_HALFWIDTH})")
     p.add_argument("--background-per-bin", type=float, help="counts (default 0)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int,
+                   help="most correlate threads (default: every core)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="histogram")
     p.set_defaults(func=cmd_correlate)
@@ -304,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline",
                        help="simulate -> correlate -> fit from one JSON config")
     p.add_argument("--config", required=True, help="pipeline JSON config")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int,
+                   help="most correlate threads (default: every core)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

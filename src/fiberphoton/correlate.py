@@ -1,13 +1,15 @@
 """Coincidence histograms from pairs of timestamp streams.
 
 Builds the full cross-correlation histogram (every pair within the delay
-window) with a blocked sweep, normalizes it against the uncorrelated
-expectation, and integrates pulse-train peaks with background subtraction.
-The sweep bins the pairs in blocks of at most _PAIR_BLOCK pairs, so its
-memory is O(N + bins) in the number of events N and does not grow with the
-number of pairs.  Histogram counts are integers, and chunked (parallel)
-construction sums partial integer histograms on at most os.cpu_count()
-threads, so results are bit-identical for any chunk count.
+window) with a sweep over start blocks, normalizes it against the
+uncorrelated expectation, and integrates pulse-train peaks with background
+subtraction.  The sweep takes the events of stream 1 in blocks of
+_START_BLOCK starts and bins their pairs in sub-blocks that hold at most
+_PAIR_BLOCK pairs over all threads, so its memory grows with neither the
+number of events nor the number of pairs.  The start blocks are dealt to
+at most os.cpu_count() threads, each with its own integer counts, and
+integer sums do not depend on the order of addition, so the result is
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ DEFAULT_CW_WINDOW = 100.0
 DEFAULT_BIN_WIDTH = 1.0
 #: Default peak integration half-width (ns), ~35 ns total per peak.
 DEFAULT_PEAK_HALFWIDTH = 17.5
-#: Most pairs whose delays are held at once (~24 B each while binned); a
-#: start with more pairs than this is binned alone.
-_PAIR_BLOCK = 1 << 20
+#: Starts of stream 1 per start block, the unit of work of one thread.
+_START_BLOCK = 1 << 14
+#: Most pairs whose delays are held at once over all threads (~24 B each
+#: while binned); a start with more pairs than a thread's share is binned alone.
+_PAIR_BLOCK = 1 << 17
 
 
 @dataclass
@@ -84,80 +88,99 @@ def make_edges(window: float, bin_width: float) -> np.ndarray:
 
     The number of bins per side is window / bin_width rounded down (with a
     1e-9 relative tolerance), so no bin reaches past the window, where pairs
-    are cut and an outer bin would be only partly filled.
+    are cut and an outer bin would be only partly filled.  Edges that cannot
+    be allocated raise InvalidParameter.
     """
     if not (0 < window < np.inf and 0 < bin_width < np.inf):
         raise InvalidParameter("window and bin_width must be finite and > 0")
     n_half = int(np.floor(window / bin_width * (1.0 + 1e-9)))
     if n_half < 1:
         raise InvalidParameter("window must cover at least one bin")
-    return np.arange(-n_half, n_half + 1) * bin_width
+    try:
+        return np.arange(-n_half, n_half + 1) * bin_width
+    except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
+        raise InvalidParameter(
+            f"cannot allocate {2 * n_half} bins of window {window:g} / "
+            f"bin_width {bin_width:g}: {exc}") from None
 
 
-def _partial_counts(t1: np.ndarray, t2: np.ndarray, window: float,
-                    edges: np.ndarray) -> np.ndarray:
-    """Histogram of delays t2 - t1 for all pairs with |delay| <= window.
+def _share_counts(t1: np.ndarray, t2: np.ndarray, window: float,
+                  edges: np.ndarray, blocks: range, budget: int) -> np.ndarray:
+    """Histogram of delays t2 - t1, |delay| <= window, over the start blocks
+    t1[a:a + _START_BLOCK] for a in blocks.
 
-    Start i pairs with t2[lo[i]:hi[i]].  The starts are taken in blocks that
-    own at most _PAIR_BLOCK pairs together, and each block's delays are
-    binned and dropped before the next block is built.
+    A block pairs only with the slice of t2 from its first start - window to
+    its last start + window, and the bounds of each start's pairs are found in
+    that slice alone: t1 is sorted, so they are the same as in all of t2.
+    The starts are then binned in sub-blocks that own at most budget pairs
+    together, and each sub-block's delays are dropped before the next.
     """
-    lo = np.searchsorted(t2, t1 - window, side="left")
-    lens = np.searchsorted(t2, t1 + window, side="right")
-    lens -= lo
-    ends = np.cumsum(lens)  # pairs owned by starts [0, i]
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    a = 0
-    while a < t1.size:
-        done = int(ends[a - 1]) if a else 0
-        b = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), a + 1)
-        total = int(ends[b - 1]) - done
-        if total:
-            # Flatten the ragged [lo[i], hi[i]) index ranges into one delay array.
-            n = lens[a:b]
-            idx = np.repeat(lo[a:b] - (ends[a:b] - n - done), n)
-            idx += np.arange(total)
-            delays = t2[idx]
-            delays -= np.repeat(t1[a:b], n)
-            counts += np.histogram(delays, bins=edges)[0]
-        a = b
+    for a in blocks:
+        c = t1[a:a + _START_BLOCK]
+        x = int(np.searchsorted(t2, c[0] - window, side="left"))
+        near = t2[x:int(np.searchsorted(t2, c[-1] + window, side="right"))]
+        lo = np.searchsorted(near, c - window, side="left")
+        lens = np.searchsorted(near, c + window, side="right")
+        lens -= lo
+        ends = np.cumsum(lens)  # pairs owned by starts [0, i] of the block
+        i = 0
+        while i < c.size:
+            done = int(ends[i - 1]) if i else 0
+            j = max(int(np.searchsorted(ends, done + budget, side="right")), i + 1)
+            total = int(ends[j - 1]) - done
+            if total:
+                # Flatten the ragged [lo[k], hi[k]) index ranges into one delay array.
+                n = lens[i:j]
+                idx = np.repeat(lo[i:j] - (ends[i:j] - n - done), n)
+                idx += np.arange(total)
+                delays = near[idx]
+                delays -= np.repeat(c[i:j], n)
+                counts += np.histogram(delays, bins=edges)[0]
+            i = j
     return counts
 
 
 def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                     bin_width: float = DEFAULT_BIN_WIDTH,
-                    n_chunks: int = 1) -> CoincidenceHistogram:
+                    n_chunks: Optional[int] = None) -> CoincidenceHistogram:
     """Full cross-correlation histogram of two streams.
 
     Counts every ordered pair (t1 in s1, t2 in s2) with |t2 - t1| <= window
-    using a searchsorted sweep, O(N * m) in time for the mean occupancy m per
-    window and O(N + bins) in memory: pairs are binned in blocks of at most
-    _PAIR_BLOCK, so memory does not grow with the number of pairs.
-    Stream 1 may be partitioned into n_chunks contiguous chunks whose partial
-    integer histograms are summed, so the result does not depend on n_chunks.
-    The chunks run on at most os.cpu_count() threads; n_chunks < 1 raises
+    using a searchsorted sweep over blocks of _START_BLOCK starts, O(N * m)
+    in time for the mean occupancy m per window.  Its memory is
+    O(threads * (_START_BLOCK + bins) + _PAIR_BLOCK): it grows with neither
+    the number of events nor the number of pairs.  Block j is swept by thread
+    j mod T, for T = min(os.cpu_count(), start blocks, n_chunks) threads
+    (n_chunks=None: every core), and the threads' integer histograms are
+    summed, so the result does not depend on T.  n_chunks < 1 raises
     InvalidParameter.
     """
-    if n_chunks < 1:
+    if n_chunks is not None and n_chunks < 1:
         raise InvalidParameter(f"n_chunks must be at least 1, got {n_chunks}")
     if abs(s1.duration - s2.duration) > 1e-9 * max(s1.duration, s2.duration):
         raise InvalidParameter(
             f"stream durations differ: {s1.duration} vs {s2.duration}"
         )
     edges = make_edges(window, bin_width)
-    n_chunks = int(n_chunks)
-    bounds = np.linspace(0, s1.times.size, n_chunks + 1).astype(int)
-    chunks = [s1.times[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    if n_chunks == 1:
-        partials = [_partial_counts(chunks[0], s2.times, window, edges)]
+    t1, t2 = s1.times, s2.times
+    n_blocks = -(-t1.size // _START_BLOCK) if t2.size else 0
+    cap = n_blocks if n_chunks is None else int(n_chunks)
+    threads = max(1, min(os.cpu_count() or 1, n_blocks, cap))
+    budget = max(1, _PAIR_BLOCK // threads)
+
+    def share(k: int) -> np.ndarray:
+        blocks = range(k * _START_BLOCK, n_blocks * _START_BLOCK,
+                       threads * _START_BLOCK)
+        return _share_counts(t1, t2, window, edges, blocks, budget)
+
+    if threads == 1:
+        counts = share(0)
     else:
-        threads = min(n_chunks, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(lambda c: _partial_counts(c, s2.times, window, edges), chunks)
-            )
-    counts = np.sum(partials, axis=0, dtype=np.int64)
-    empty = s1.times.size == 0 or s2.times.size == 0
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            others = pool.map(share, range(1, threads))  # submitted at once
+            counts = np.sum([share(0), *others], axis=0, dtype=np.int64)
+    empty = t1.size == 0 or t2.size == 0
     return CoincidenceHistogram(edges, counts, s1.duration,
                                 flags=["empty-input"] if empty else [])
 

@@ -10,6 +10,7 @@ optimum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -213,10 +214,22 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
     )
 
 
+def check_fit_halfwidth(fit_halfwidth: Optional[float]):
+    """Raise InvalidParameter unless fit_halfwidth is None or a number > 0
+    (a NaN or non-positive half-width would select no bin)."""
+    if fit_halfwidth is None:
+        return
+    if (isinstance(fit_halfwidth, bool) or not isinstance(fit_halfwidth, numbers.Real)
+            or not fit_halfwidth > 0):
+        raise InvalidParameter(f"fit_halfwidth must be a number > 0, got "
+                               f"{fit_halfwidth!r}")
+
+
 def _normalized(h: CoincidenceHistogram, model: str,
                 fit_halfwidth: Optional[float]):
     """(tau, g2, err) of a histogram normalized for model, restricted to
     |tau| <= fit_halfwidth when it is given; err may be None."""
+    check_fit_halfwidth(fit_halfwidth)
     if h.norm is None:
         raise InvalidParameter("histogram must be normalized before fitting")
     if h.normalization not in (None, model):
@@ -224,8 +237,6 @@ def _normalized(h: CoincidenceHistogram, model: str,
             f"a {model} fit needs a {model}-normalized histogram, not a "
             f"{h.normalization}-normalized one (`fiberphoton pipeline` with "
             f"a pulsed fit section writes a pulsed-normalized histogram)")
-    if h.counts.size < 10:
-        raise InvalidParameter("need at least 10 bins to fit")
     if h.total_pairs == 0:
         raise DegenerateInput("histogram holds no coincidence pairs to fit; "
                               "widen the window or lengthen the acquisition")
@@ -234,6 +245,8 @@ def _normalized(h: CoincidenceHistogram, model: str,
         sel = np.abs(tau) <= fit_halfwidth
         tau, y = tau[sel], y[sel]
         err = err[sel] if err is not None else None
+    if tau.size < 10:
+        raise InvalidParameter(f"need at least 10 bins to fit, got {tau.size}")
     return tau, y, err
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import warnings
 from functools import partial
 from itertools import repeat
@@ -99,12 +100,21 @@ def sidecar_path(csv_path) -> Path:
 
 
 def _sidecar(csv_path) -> dict:
-    """The JSON sidecar of a CSV, or {} when it has none."""
+    """The JSON sidecar of a CSV, or {} when it has none.  It must be an
+    object, and a duration in it a finite number > 0."""
     path = sidecar_path(csv_path)
     try:
-        return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        meta = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise MalformedFile(f"{path}: not UTF-8 JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise MalformedFile(f"{path}: not a JSON object")
+    duration = meta.get("duration", 1.0)
+    if (isinstance(duration, bool) or not isinstance(duration, (int, float))
+            or not 0 < duration < math.inf):
+        raise MalformedFile(f"{path}: duration must be a finite number > 0, "
+                            f"got {duration!r}")
+    return meta
 
 
 #: Times per fh.write: bounds the row matrix of _stream_rows at ~2.5 MB and

@@ -23,6 +23,7 @@ sub-streams for emission, detection, and each channel's additive events.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +63,10 @@ class SimConfig:
         if not (0 < self.duration < math.inf):
             raise InvalidParameter(
                 f"duration must be finite and > 0, got {self.duration}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise InvalidParameter(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if not (0.0 <= self.detection_efficiency <= 1.0):
             raise InvalidParameter("detection_efficiency must lie in [0, 1]")
         for name in ("dark_rate_per_channel", "background_rate",

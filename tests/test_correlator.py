@@ -72,38 +72,52 @@ class TestBruteForceOracle:
         merged = fine.counts.reshape(-1, 2).sum(axis=1)
         assert np.array_equal(merged, coarse.counts)
 
-    def test_chunk_count_is_invisible(self):
+    def test_chunk_count_is_invisible(self, monkeypatch):
+        """n_chunks caps the threads that sweep the start blocks; the counts
+        do not depend on it."""
+        monkeypatch.setattr(correlate.os, "cpu_count", lambda: 32)
+        monkeypatch.setattr(correlate, "_START_BLOCK", 1000)
         rng = np.random.default_rng(31)
         t1 = np.unique(rng.uniform(0, 1e5, 20_000))
         t2 = np.unique(rng.uniform(0, 1e5, 20_000))
         s1, s2 = stream(t1, 1e5, 1), stream(t2, 1e5, 2)
         base = cross_correlate(s1, s2, window=100.0, bin_width=1.0, n_chunks=1)
-        for n in (2, 3, 8, 17):
+        for n in (2, 3, 8, 17, None):
             h = cross_correlate(s1, s2, window=100.0, bin_width=1.0, n_chunks=n)
             assert np.array_equal(h.counts, base.counts)
 
     @pytest.mark.parametrize("block", [1, 3, 64, correlate._PAIR_BLOCK])
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(t1=st.lists(st.integers(0, 4000), unique=True, max_size=40),
            t2=st.lists(st.integers(0, 4000), unique=True, max_size=80),
-           window=st.floats(0.5, 60.0), bin_width=st.floats(0.1, 8.0))
-    # Each start owns 240 pairs, more than the small blocks hold.
+           window=st.floats(0.5, 60.0), bin_width=st.floats(0.1, 8.0),
+           start_block=st.sampled_from([1, 3, 64, correlate._START_BLOCK]),
+           cpus=st.sampled_from([1, 2, 3]))
+    # Each start owns 240 pairs, more than the small budgets hold.
     @example(t1=[1000, 2500], t2=list(range(0, 4000, 4)), window=60.0,
-             bin_width=4.0)
+             bin_width=4.0, start_block=1, cpus=2)
+    @example(t1=[1000, 2500], t2=list(range(0, 4000, 4)), window=60.0,
+             bin_width=4.0, start_block=64, cpus=3)
     # Delays -3, -1, 0, 1, 3 ns: on edges, both outermost edges included.
     @example(t1=[1000], t2=[976, 992, 1000, 1008, 1024], window=3.0,
-             bin_width=1.0)
-    def test_block_size_is_invisible(self, block, t1, t2, window, bin_width):
-        """Any pair budget per block, over two chunks, gives the brute-force
-        counts and those of one chunk at the default budget.  Times are
+             bin_width=1.0, start_block=1, cpus=1)
+    # Start blocks of three whose pair slices of t2 meet at delays on edges.
+    @example(t1=[968, 976, 992, 1000, 1008, 1024, 1032],
+             t2=list(range(936, 1072, 8)), window=4.0, bin_width=1.0,
+             start_block=3, cpus=3)
+    def test_block_size_is_invisible(self, block, t1, t2, window, bin_width,
+                                     start_block, cpus):
+        """Any pair budget, start block and core count gives the brute-force
+        counts and those of one thread at the default blocks.  Times are
         multiples of 1/8 ns, so many delays fall exactly on bin edges."""
         assume(1.0 <= window / bin_width <= 400)
         s1 = stream(np.asarray(t1, float) / 8, 500.0, 1)
         s2 = stream(np.asarray(t2, float) / 8, 500.0, 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(correlate, "_PAIR_BLOCK", block)
-            h = cross_correlate(s1, s2, window=window, bin_width=bin_width,
-                                n_chunks=2)
+            mp.setattr(correlate, "_START_BLOCK", start_block)
+            mp.setattr(correlate.os, "cpu_count", lambda: cpus)
+            h = cross_correlate(s1, s2, window=window, bin_width=bin_width)
         expected = brute_force_counts(s1.times, s2.times, window, h.bin_edges)
         assert np.array_equal(h.counts, expected)
         single = cross_correlate(s1, s2, window=window, bin_width=bin_width,
@@ -144,8 +158,31 @@ class TestBruteForceOracle:
         assert peaks[1] <= 1.25 * peaks[0]
         assert peaks[1] < 60.0
 
+    def test_memory_is_flat_in_event_count(self, monkeypatch):
+        """Four times the events at the same density (and so four times the
+        pairs) keep the same peak: the sweep holds no array as long as a
+        stream."""
+        monkeypatch.setattr(correlate.os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(53)
+        peaks, pairs = [], []
+        for n in (200_000, 800_000):
+            T = 20.0 * n
+            s1 = stream(np.unique(rng.uniform(0, T, n)), T, 1)
+            s2 = stream(np.unique(rng.uniform(0, T, n)), T, 2)
+            tracemalloc.start()
+            try:
+                h = cross_correlate(s1, s2, window=100.0, bin_width=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+            pairs.append(h.total_pairs)
+        assert pairs[1] > 3.5 * pairs[0]
+        assert peaks[1] <= 1.25 * peaks[0]
+
     def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
-        """n_chunks sets the partition, not the number of threads."""
+        """The calling thread sweeps one share of the start blocks and a pool
+        of at most os.cpu_count() - 1 workers the others; an input of one
+        start block, or n_chunks=1, runs with no pool."""
         seen = []
         real = correlate.ThreadPoolExecutor
 
@@ -154,13 +191,19 @@ class TestBruteForceOracle:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(correlate, "ThreadPoolExecutor", spy)
-        monkeypatch.setattr(correlate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(correlate.os, "cpu_count", lambda: 3)
         rng = np.random.default_rng(43)
         s1, s2 = random_pair(rng)
+        base = cross_correlate(s1, s2, window=50.0, bin_width=1.0, n_chunks=1)
+        one_block = cross_correlate(s1, s2, window=50.0, bin_width=1.0, n_chunks=64)
+        assert seen == []
+        monkeypatch.setattr(correlate, "_START_BLOCK", 16)
+        assert s1.times.size > 3 * 16
         h = cross_correlate(s1, s2, window=50.0, bin_width=1.0, n_chunks=64)
-        assert seen == [2]
-        base = cross_correlate(s1, s2, window=50.0, bin_width=1.0)
-        assert np.array_equal(h.counts, base.counts)
+        two = cross_correlate(s1, s2, window=50.0, bin_width=1.0, n_chunks=2)
+        assert seen == [2, 1]
+        for other in (one_block, h, two):
+            assert np.array_equal(other.counts, base.counts)
 
     def test_empty_input_flagged(self):
         empty, full = stream([], 100.0, 1), stream([1.0, 2.0], 100.0, 2)

@@ -83,6 +83,14 @@ class TestStreamCsv:
         last = max(s.times[-1] for s in streams)
         assert back[0].duration == pytest.approx(last, abs=1e-5)
 
+    @pytest.mark.parametrize("duration", ["abc", None, True, -1.0, float("nan")])
+    def test_sidecar_duration_must_be_a_positive_number(self, tmp_path, duration):
+        path = tmp_path / "stream.csv"
+        path.write_text("channel,time_ns\n1,1.0\n2,2.0\n")
+        fio.sidecar_path(path).write_text(json.dumps({"duration": duration}))
+        with pytest.raises(MalformedFile, match="stream.config.json.*duration"):
+            fio.read_stream_csv(path)
+
     def test_malformed_header_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n1,2.0\n")
@@ -265,6 +273,16 @@ class TestHistogramCsv:
         back = fio.read_histogram_csv(path)
         assert (back.bin_edges[0], back.bin_edges[-1]) == (-5.0, 5.0)
         assert (back.duration, back.flags, back.normalization) == (1.0, [], None)
+
+    @pytest.mark.parametrize("meta", [{"duration": "abc"}, {"duration": 0},
+                                      {"duration": float("inf")}, [1e3]])
+    def test_bad_sidecar_rejected(self, tmp_path, meta):
+        path = tmp_path / "hist.csv"
+        fio.write_histogram_csv(path, CoincidenceHistogram(
+            make_edges(5.0, 1.0), np.ones(10, dtype=np.int64), 1e3))
+        fio.sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(MalformedFile, match="hist.config.json"):
+            fio.read_histogram_csv(path)
 
     def test_unnormalized_round_trip(self, tmp_path):
         edges = make_edges(5.0, 1.0)
@@ -471,6 +489,14 @@ class TestCliCorrelate:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sidecar_duration_not_a_number_exits_2(self, tmp_path, capsys):
+        stream = self._simulate(tmp_path)
+        fio.sidecar_path(stream).write_text(json.dumps({"duration": "abc"}))
+        out = tmp_path / "out"
+        assert main(["correlate", str(stream), "--out", str(out)]) == 2
+        assert "stream.config.json" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_than_two_stream_paths_exit_2(self, tmp_path, capsys):
         stream = str(self._simulate(tmp_path))
         assert main(["correlate", stream, stream, stream,
@@ -517,9 +543,12 @@ class TestCliCorrelate:
                    "--peak-halfwidth", "nan"], "peak_halfwidth"),
     ("correlate", ["--window", "1000", "--period", "100",
                    "--background-per-bin", "nan"], "background_per_bin"),
+    ("simulate", ["--seed", "-1"], "seed"),
+    ("correlate", ["--window", "1e15", "--bin", "1e-3"], "allocate"),
 ])
 def test_non_finite_number_flag_exits_2(tmp_path, capsys, command, flags, word):
-    """A NaN or infinite number is an invalid configuration: exit 2, no file."""
+    """A NaN or infinite number, a negative seed or a histogram too large to
+    allocate is an invalid configuration: exit 2, no file."""
     stream = tmp_path / "in" / "stream.csv"
     assert main(["simulate", "--wp", "0.01", "--gamma", "0.02", "--duration",
                  "1e5", "--seed", "1", "--out", str(stream.parent)]) == 0
@@ -628,6 +657,30 @@ class TestCliFit:
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("model", ["cw", "pulsed"])
+    @pytest.mark.parametrize("halfwidth", ["nan", "-5", "0"])
+    def test_bad_fit_halfwidth_exits_2(self, tmp_path, capsys, model, halfwidth):
+        edges = make_edges(50.0, 1.0)
+        counts = np.ones(edges.size - 1, dtype=np.int64)
+        fio.write_histogram_csv(tmp_path / "h.csv", CoincidenceHistogram(
+            edges, counts, 1e6, norm=counts.astype(float),
+            norm_err=np.ones(counts.size), normalization=model))
+        assert main(["fit", str(tmp_path / "h.csv"), "--model", model,
+                     "--tau-o", "6", "--fit-halfwidth", halfwidth,
+                     "--out", str(tmp_path)]) == 2
+        assert "fit_halfwidth" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_fit_halfwidth_below_ten_bins_exits_2(self, tmp_path, capsys):
+        edges = make_edges(50.0, 1.0)
+        counts = np.ones(edges.size - 1, dtype=np.int64)
+        fio.write_histogram_csv(tmp_path / "h.csv", CoincidenceHistogram(
+            edges, counts, 1e6, norm=counts.astype(float),
+            norm_err=np.ones(counts.size), normalization="cw"))
+        assert main(["fit", str(tmp_path / "h.csv"), "--model", "cw",
+                     "--fit-halfwidth", "0.2", "--out", str(tmp_path)]) == 2
+        assert "at least 10 bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["cw", "pulsed"])
     def test_fit_of_empty_histogram_exits_2(self, tmp_path, capsys, model):
         edges = make_edges(50.0, 1.0)
         zeros = np.zeros(edges.size - 1)
@@ -721,10 +774,15 @@ class TestCliPipeline:
           "dead_time": float("nan")}, "dead_time"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
           "background_rate": float("inf")}, "background_rate"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1.5}, "seed"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": -1}, "seed"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": True}, "seed"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": "1"}, "seed"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
         assert word in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, word", [
         ({"correlate": {"windw": 450.0}}, "windw"),
@@ -743,7 +801,11 @@ class TestCliPipeline:
         ({"pulse": {"tau_o": 6.0, "period": 100.0}},
          {"correlate": {"window": 120.0}, "fit": {"model": "pulsed"}},
          "no side peak"),
-    ], ids=["unknown-model", "window-without-side-peak"])
+        ({}, {"fit": {"model": "cw", "fit_halfwidth": float("nan")}},
+         "fit_halfwidth"),
+        ({}, {"fit": {"model": "cw", "fit_halfwidth": -5}}, "fit_halfwidth"),
+    ], ids=["unknown-model", "window-without-side-peak", "nan-fit-halfwidth",
+            "negative-fit-halfwidth"])
     def test_config_errors_write_nothing(self, tmp_path, capsys, simulate,
                                          config, word):
         simulate = {"emitter": {"w_p": 1.3, "gamma": 2.0}, "duration": 1e5,
