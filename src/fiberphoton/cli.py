@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import fit as fitmod
 from . import geometry as geom
 from . import io as fio
 from .emitter import DEFAULT_GAMMA
-from .errors import FiberPhotonError
+from .errors import FiberPhotonError, check_number
 from .sim import SimConfig, simulate_streams
 
 EXIT_OK = 0
@@ -64,13 +65,6 @@ def _build_sim_config(args) -> SimConfig:
         "background_rate": args.background_rate,
         "jitter_sigma": args.jitter,
     })
-
-
-def _check_workers(workers: int | None):
-    """--workers is cross_correlate's n_chunks (None: every core), checked
-    before any work."""
-    if workers is not None and workers < 1:
-        raise FiberPhotonError(f"--workers (n_chunks) must be >= 1, got {workers}")
 
 
 def _write_streams(stream_path: Path, cfg: SimConfig, streams):
@@ -122,7 +116,7 @@ def cmd_correlate(args) -> int:
     peak_opts = _given(args, "peak_halfwidth", "background_per_bin")
     if peak_opts and args.period is None:
         raise FiberPhotonError("--peak-halfwidth/--background-per-bin need --period")
-    _check_workers(args.workers)
+    corr.check_n_chunks(args.workers)
     s1, s2 = _load_streams(args.streams)
     h = _correlate(s1, s2, args.window, args.bin, args.workers)
     peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)
@@ -141,8 +135,8 @@ def cmd_correlate(args) -> int:
 
 def _histogram_fit(model: str, tau_o, fit_halfwidth):
     """The cw or pulsed g2 fit of a normalized histogram, as a function of the
-    histogram, so that a bad model, a missing tau_o or a bad fit_halfwidth
-    fails before any work."""
+    histogram, so that a bad model, a missing or bad tau_o or a bad
+    fit_halfwidth fails before any work."""
     fitmod.check_fit_halfwidth(fit_halfwidth)
     if model == "cw":
         return lambda h: fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
@@ -151,6 +145,7 @@ def _histogram_fit(model: str, tau_o, fit_halfwidth):
     if tau_o is None:
         raise FiberPhotonError("a pulsed fit requires tau_o (--tau-o, or a "
                                "simulate.pulse section in a pipeline config)")
+    check_number("tau_o", tau_o, 0, math.inf, "()")
     return lambda h: fitmod.fit_g2_pulsed(h, tau_o_fixed=tau_o,
                                           fit_halfwidth=fit_halfwidth)
 
@@ -218,14 +213,18 @@ def cmd_pipeline(args) -> int:
     model = fit_cfg.get("model", "cw")
     tau_o = cfg.pulse.tau_o if cfg.pulse else None
     fit = _histogram_fit(model, tau_o, fit_cfg.get("fit_halfwidth"))
-    _check_workers(args.workers)
+    corr.check_n_chunks(args.workers)
+    if "tau_o" in fit_cfg:
+        check_number("fit.tau_o", fit_cfg["tau_o"], 0, math.inf, "()")
     if fit_cfg.get("tau_o", tau_o) != tau_o:
         raise FiberPhotonError(
             f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
+    window = cor_cfg.get("window", corr.DEFAULT_CW_WINDOW)
+    bin_width = cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH)
+    corr.make_edges(window, bin_width)  # a bad window fails before simulating
 
     streams = simulate_streams(cfg)
-    h = _correlate(*streams, cor_cfg.get("window", corr.DEFAULT_CW_WINDOW),
-                   cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH), args.workers,
+    h = _correlate(*streams, window, bin_width, args.workers,
                    sim_cfg=cfg if model == "pulsed" else None)
     out = _outdir(args)
     _write_streams(out / "stream.csv", cfg, streams)

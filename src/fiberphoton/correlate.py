@@ -14,6 +14,7 @@ bit-identical for any thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .emitter import pulse_envelope
-from .errors import DegenerateInput, InsufficientPeaks, InvalidParameter
+from .errors import (DegenerateInput, InsufficientPeaks, InvalidParameter,
+                     check_number)
 from .sim import TimestampStream
 
 #: Default delay window (ns) of the cw dip analysis.
@@ -44,7 +46,8 @@ class CoincidenceHistogram:
 
     bin_edges are uniform; they alone give the delay extent.  counts[k] is
     the number of pairs with delay t2 - t1 in bin k, and total_pairs their
-    sum.  norm/norm_err are filled by a normalization step, which records its
+    sum; duration (ns) is finite and > 0.  norm/norm_err, each None or one
+    value per bin, are filled by a normalization step, which records its
     model ('cw' or 'pulsed') in normalization.  flags carries quality markers
     such as 'empty-input' or 'low-statistics'.
     """
@@ -69,6 +72,12 @@ class CoincidenceHistogram:
             raise InvalidParameter("bin width must be uniform")
         if widths.size and widths[0] <= 0:
             raise InvalidParameter("bin width must be positive")
+        check_number("duration", self.duration, 0, math.inf, "()")
+        for name in ("norm", "norm_err"):
+            column = getattr(self, name)
+            if column is not None and np.size(column) != self.counts.size:
+                raise InvalidParameter(
+                    f"{name} must be None or hold one value per bin")
 
     @property
     def total_pairs(self) -> int:
@@ -88,11 +97,12 @@ def make_edges(window: float, bin_width: float) -> np.ndarray:
 
     The number of bins per side is window / bin_width rounded down (with a
     1e-9 relative tolerance), so no bin reaches past the window, where pairs
-    are cut and an outer bin would be only partly filled.  Edges that cannot
-    be allocated raise InvalidParameter.
+    are cut and an outer bin would be only partly filled.  A window or
+    bin_width that is not a number in (0, inf), and edges that cannot be
+    allocated, raise InvalidParameter.
     """
-    if not (0 < window < np.inf and 0 < bin_width < np.inf):
-        raise InvalidParameter("window and bin_width must be finite and > 0")
+    check_number("window", window, 0, math.inf, "()")
+    check_number("bin_width", bin_width, 0, math.inf, "()")
     n_half = int(np.floor(window / bin_width * (1.0 + 1e-9)))
     if n_half < 1:
         raise InvalidParameter("window must cover at least one bin")
@@ -141,6 +151,12 @@ def _share_counts(t1: np.ndarray, t2: np.ndarray, window: float,
     return counts
 
 
+def check_n_chunks(n_chunks: Optional[int]):
+    """Raise InvalidParameter unless n_chunks is None or a number >= 1."""
+    if n_chunks is not None:
+        check_number("n_chunks", n_chunks, 1, math.inf, "[)")
+
+
 def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                     bin_width: float = DEFAULT_BIN_WIDTH,
                     n_chunks: Optional[int] = None) -> CoincidenceHistogram:
@@ -153,11 +169,10 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
     the number of events nor the number of pairs.  Block j is swept by thread
     j mod T, for T = min(os.cpu_count(), start blocks, n_chunks) threads
     (n_chunks=None: every core), and the threads' integer histograms are
-    summed, so the result does not depend on T.  n_chunks < 1 raises
-    InvalidParameter.
+    summed, so the result does not depend on T.  An n_chunks that
+    check_n_chunks rejects raises InvalidParameter.
     """
-    if n_chunks is not None and n_chunks < 1:
-        raise InvalidParameter(f"n_chunks must be at least 1, got {n_chunks}")
+    check_n_chunks(n_chunks)
     if abs(s1.duration - s2.duration) > 1e-9 * max(s1.duration, s2.duration):
         raise InvalidParameter(
             f"stream durations differ: {s1.duration} vs {s2.duration}"
@@ -287,12 +302,9 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
     that the bin edges hold whole, subtracts the expected uncorrelated
     background per peak, and returns the zero-peak to mean-side-peak ratio.
     """
-    if not (0 < period < np.inf):
-        raise InvalidParameter(f"period must be finite and > 0, got {period}")
-    if not (0 <= peak_halfwidth <= period / 2.0):
-        raise InvalidParameter("peak_halfwidth must lie in [0, period/2]")
-    if not (0 <= background_per_bin < np.inf):
-        raise InvalidParameter("background_per_bin must be finite and >= 0")
+    check_number("period", period, 0, math.inf, "()")
+    check_number("peak_halfwidth", peak_halfwidth, 0, period / 2.0)
+    check_number("background_per_bin", background_per_bin, 0, math.inf, "[)")
     side_sums = [int(h.counts[sel].sum())
                  for _, sel in _side_peaks(h, period, peak_halfwidth)]
     zero = np.abs(h.centers) <= peak_halfwidth
@@ -327,8 +339,8 @@ def background_coincidence_rate(rate_em: float, rate_bg: float,
     With per-channel emitter rate r_em and background rate r_bg, the em x bg,
     bg x em and bg x bg pair terms give (r_tot^2 - r_em^2)*bin_width*duration.
     """
-    if rate_em < 0 or rate_bg < 0:
-        raise InvalidParameter("rates must be >= 0")
+    check_number("rate_em", rate_em, 0, math.inf, "[)")
+    check_number("rate_bg", rate_bg, 0, math.inf, "[)")
     r_tot = rate_em + rate_bg
     return (r_tot**2 - rate_em**2) * bin_width * duration
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter, check_number
 
 #: Documented default radiative decay rate (1/ns): lifetime ~1 ms.
 DEFAULT_GAMMA = 1e-6
@@ -42,14 +42,10 @@ class EmitterParams:
     rho_e0: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.w_p < math.inf):
-            raise InvalidParameter(f"w_p must be finite and > 0, got {self.w_p}")
-        if not (0 <= self.gamma < math.inf):
-            raise InvalidParameter(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (0.0 <= self.g2_0 <= 1.0):
-            raise InvalidParameter(f"g2_0 must lie in [0, 1], got {self.g2_0}")
-        if not (0.0 <= self.rho_e0 <= 1.0):
-            raise InvalidParameter(f"rho_e0 must lie in [0, 1], got {self.rho_e0}")
+        check_number("w_p", self.w_p, 0, math.inf, "()")
+        check_number("gamma", self.gamma, 0, math.inf, "[)")
+        check_number("g2_0", self.g2_0, 0, 1)
+        check_number("rho_e0", self.rho_e0, 0, 1)
 
     @property
     def total_rate(self) -> float:
@@ -69,11 +65,8 @@ class PulseParams:
     period: float
 
     def __post_init__(self):
-        if not (self.tau_o > 0):
-            raise InvalidParameter(f"tau_o must be > 0, got {self.tau_o}")
-        if not (self.tau_o < self.period < math.inf):
-            raise InvalidParameter(f"period must be finite and exceed tau_o, got "
-                                   f"period={self.period}, tau_o={self.tau_o}")
+        check_number("tau_o", self.tau_o, 0, math.inf, "()")
+        check_number("period", self.period, self.tau_o, math.inf, "()")
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,7 @@ class BackgroundMix:
     rho: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rho <= 1.0):
-            raise InvalidParameter(f"rho must lie in [0, 1], got {self.rho}")
+        check_number("rho", self.rho, 0, 1)
 
 
 def excited_population(p: EmitterParams, tau):
@@ -190,8 +182,7 @@ def pump_rate_from_integrated(g2_int: float, g2_0: float, tau_o: float) -> float
 
     Exact algebraic inverse of g2_integrated_zero.
     """
-    if tau_o <= 0:
-        raise InvalidParameter(f"tau_o must be > 0, got {tau_o}")
+    check_number("tau_o", tau_o, 0, math.inf, "()")
     if g2_int <= g2_0:
         raise DegenerateInput(
             f"g2_int ({g2_int}) must exceed g2_0 ({g2_0}) to invert"
@@ -211,12 +202,9 @@ class SaturationParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (self.A > 0):
-            raise InvalidParameter(f"A must be > 0, got {self.A}")
-        if not (self.P_sat > 0):
-            raise InvalidParameter(f"P_sat must be > 0, got {self.P_sat}")
-        if self.beta < 0:
-            raise InvalidParameter(f"beta must be >= 0, got {self.beta}")
+        check_number("A", self.A, 0, math.inf, "()")
+        check_number("P_sat", self.P_sat, 0, math.inf, "()")
+        check_number("beta", self.beta, 0, math.inf, "[)")
 
 
 def saturation_model(power, A, P_sat, beta):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one number check."""
+
+import numbers
 
 
 class FiberPhotonError(Exception):
@@ -27,3 +29,16 @@ class MalformedFile(FiberPhotonError, ValueError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+def check_number(name, value, low, high, brackets="[]"):
+    """Raise InvalidParameter, naming name and its interval, unless value is
+    a real number, not a bool, from low to high.  brackets gives the ends of
+    the interval: "[" and "]" include low and high, "(" and ")" exclude them.
+    NaN lies in no interval."""
+    left, right = brackets
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low <= value if left == "[" else low < value)
+            and (value <= high if right == "]" else value < high)):
+        raise InvalidParameter(f"{name} must be a number in {left}{low:g}, "
+                               f"{high:g}{right}, got {value!r}")

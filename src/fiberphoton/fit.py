@@ -10,7 +10,7 @@ optimum.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 from .correlate import CoincidenceHistogram
 from .emitter import (BackgroundMix, g2_background_mixed, g2_cw_reduced,
                       g2_pulsed_mixed_model, saturation_model)
-from .errors import DegenerateInput, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter, check_number
 
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-9
@@ -215,14 +215,10 @@ def least_squares_engine(model: Callable, xdata, ydata, initial_params,
 
 
 def check_fit_halfwidth(fit_halfwidth: Optional[float]):
-    """Raise InvalidParameter unless fit_halfwidth is None or a number > 0
-    (a NaN or non-positive half-width would select no bin)."""
-    if fit_halfwidth is None:
-        return
-    if (isinstance(fit_halfwidth, bool) or not isinstance(fit_halfwidth, numbers.Real)
-            or not fit_halfwidth > 0):
-        raise InvalidParameter(f"fit_halfwidth must be a number > 0, got "
-                               f"{fit_halfwidth!r}")
+    """Raise InvalidParameter unless fit_halfwidth is None or a number in
+    (0, inf] (a NaN or non-positive half-width would select no bin)."""
+    if fit_halfwidth is not None:
+        check_number("fit_halfwidth", fit_halfwidth, 0, math.inf, "(]")
 
 
 def _normalized(h: CoincidenceHistogram, model: str,
@@ -300,11 +296,11 @@ def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
                   fit_halfwidth: Optional[float] = None) -> FitResult:
     """Fit the background-mixed pulsed dip with the envelope width held fixed.
 
-    Reports rho, g2_0 and w_p (plus 2/w_p).  fit_halfwidth restricts the fit
-    to |tau| <= fit_halfwidth, e.g. to exclude neighboring pulse peaks.
+    Reports rho, g2_0 and w_p (plus 2/w_p).  tau_o_fixed must be a number in
+    (0, inf).  fit_halfwidth restricts the fit to |tau| <= fit_halfwidth,
+    e.g. to exclude neighboring pulse peaks.
     """
-    if tau_o_fixed <= 0:
-        raise InvalidParameter("tau_o_fixed must be > 0")
+    check_number("tau_o_fixed", tau_o_fixed, 0, math.inf, "()")
     tau, y, err = _normalized(h, "pulsed", fit_halfwidth)
 
     floor = float(np.median(y[np.abs(tau) > 5.0 * tau_o_fixed])) \

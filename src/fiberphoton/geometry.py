@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_number
 
 #: Tolerance for clamping an arccos argument that rounding pushed past +-1.
 _ACOS_CLAMP = 1e-12
@@ -27,8 +27,8 @@ _ACOS_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class FiberGeometry:
-    """Core radius a (um), refractive index n, emitter offset r (um), vacuum
-    wavelength (um)."""
+    """Core radius a (um), refractive index n > 1 (for TIR), emitter offset
+    r in [0, a] (um), vacuum wavelength (um); each a finite number."""
 
     a: float
     n: float
@@ -36,20 +36,10 @@ class FiberGeometry:
     wavelength: float
 
     def __post_init__(self):
-        if not (self.a > 0):
-            raise InvalidParameter(f"core radius a must be > 0, got {self.a}")
-        if not (self.n > 1):
-            raise InvalidParameter(
-                f"refractive index must exceed 1 for TIR, got {self.n}"
-            )
-        if not (0.0 <= self.r <= self.a):
-            raise InvalidParameter(
-                f"emitter offset r must lie in [0, a], got r={self.r}, a={self.a}"
-            )
-        if not (self.wavelength > 0):
-            raise InvalidParameter(
-                f"wavelength must be > 0, got {self.wavelength}"
-            )
+        check_number("core radius a", self.a, 0, math.inf, "()")
+        check_number("refractive index n", self.n, 1, math.inf, "()")
+        check_number("emitter offset r", self.r, 0, self.a)
+        check_number("wavelength", self.wavelength, 0, math.inf, "()")
 
 
 def channeling_efficiency(n: float) -> float:
@@ -58,8 +48,7 @@ def channeling_efficiency(n: float) -> float:
     The capture cone per direction subtends solid angle 2*pi*(1 - 1/n), so the
     combined efficiency is 1 - 1/n.  About 0.31 for silica at ~1 um.
     """
-    if not (n > 1):
-        raise InvalidParameter(f"refractive index must exceed 1, got {n}")
+    check_number("refractive index n", n, 1, math.inf, "()")
     return 1.0 - 1.0 / n
 
 

@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from .correlate import CoincidenceHistogram
-from .errors import MalformedFile
+from .errors import InvalidParameter, MalformedFile, check_number
 from .sim import SimConfig, TimestampStream
 
 STREAM_HEADER = ["channel", "time_ns"]
@@ -101,7 +101,7 @@ def sidecar_path(csv_path) -> Path:
 
 def _sidecar(csv_path) -> dict:
     """The JSON sidecar of a CSV, or {} when it has none.  It must be an
-    object, and a duration in it a finite number > 0."""
+    object, and a duration in it a number in (0, inf)."""
     path = sidecar_path(csv_path)
     try:
         meta = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
@@ -109,11 +109,10 @@ def _sidecar(csv_path) -> dict:
         raise MalformedFile(f"{path}: not UTF-8 JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise MalformedFile(f"{path}: not a JSON object")
-    duration = meta.get("duration", 1.0)
-    if (isinstance(duration, bool) or not isinstance(duration, (int, float))
-            or not 0 < duration < math.inf):
-        raise MalformedFile(f"{path}: duration must be a finite number > 0, "
-                            f"got {duration!r}")
+    try:
+        check_number("duration", meta.get("duration", 1.0), 0, math.inf, "()")
+    except InvalidParameter as exc:
+        raise MalformedFile(f"{path}: {exc}") from None
     return meta
 
 

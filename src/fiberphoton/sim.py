@@ -31,7 +31,7 @@ import numpy as np
 
 from .emitter import (EmitterParams, PulseParams, SaturationParams,
                       _pulse_hazard_remaining, _pulse_invert_hazard)
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_number
 
 #: Emissions in a row that decay inside their own pulse before the pulsed
 #: event loop hands the following pulses to the vectorized pass.
@@ -45,7 +45,8 @@ class SimConfig:
     """Full configuration of one simulated acquisition.
 
     pulse=None means cw pumping, else the pump follows the pulse train.
-    Rates are events/ns; duration in ns; every number must be finite.
+    Rates are events/ns; duration in ns; every number must be a real number,
+    not a bool, inside its interval (the seed an integer >= 0).
     dead_time reserves a per-channel detector dead time (default 0: off).
     """
 
@@ -60,20 +61,15 @@ class SimConfig:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.duration < math.inf):
-            raise InvalidParameter(
-                f"duration must be finite and > 0, got {self.duration}")
+        check_number("duration", self.duration, 0, math.inf, "()")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
             raise InvalidParameter(
                 f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (0.0 <= self.detection_efficiency <= 1.0):
-            raise InvalidParameter("detection_efficiency must lie in [0, 1]")
+        check_number("detection_efficiency", self.detection_efficiency, 0, 1)
         for name in ("dark_rate_per_channel", "background_rate",
                      "jitter_sigma", "dead_time"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise InvalidParameter(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            check_number(name, getattr(self, name), 0, math.inf, "[)")
         if self.emitter.g2_0 != 0:
             raise InvalidParameter(
                 "the simulator models one ideal emitter, so emitter.g2_0 must "
@@ -118,9 +114,7 @@ class TimestampStream:
         object.__setattr__(self, "times", times)
         if self.channel not in (1, 2):
             raise InvalidParameter(f"channel must be 1 or 2, got {self.channel}")
-        if not (0 < self.duration < math.inf):
-            raise InvalidParameter(
-                f"duration must be finite and > 0, got {self.duration}")
+        check_number("duration", self.duration, 0, math.inf, "()")
         if self.times.size:
             if not np.all(np.diff(self.times) > 0):
                 raise InvalidParameter("times must be strictly increasing")

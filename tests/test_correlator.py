@@ -414,3 +414,17 @@ class TestHelpers:
         bad_edges = np.array([0.0, 1.0, 3.0])
         with pytest.raises(InvalidParameter):
             CoincidenceHistogram(bad_edges, np.zeros(2, int), 1.0)
+
+    @pytest.mark.parametrize("column", ["norm", "norm_err"])
+    def test_histogram_norm_columns_hold_one_value_per_bin(self, column):
+        # write_histogram_csv zips the columns: a short one would cut the file.
+        edges, counts = make_edges(10.0, 1.0), np.arange(20)
+        with pytest.raises(InvalidParameter, match=column):
+            CoincidenceHistogram(edges, counts, 1e6, **{column: np.ones(5)})
+        h = CoincidenceHistogram(edges, counts, 1e6, **{column: np.ones(20)})
+        assert getattr(h, column).size == 20
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, np.nan, np.inf, True, "1"])
+    def test_histogram_duration_is_a_finite_number(self, duration):
+        with pytest.raises(InvalidParameter, match="duration"):
+            CoincidenceHistogram(make_edges(10.0, 1.0), np.arange(20), duration)

@@ -1,6 +1,7 @@
 """Least-squares engine and model front ends."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,28 @@ class TestEngine:
                                    [0.5, 0.0], bounds=([0.0, -np.inf], [3.0, np.inf]),
                                    param_names=["slope", "intercept"])
         assert res.flags == []
+
+    def test_ignored_parameter_is_unidentifiable(self):
+        # b's Jacobian column is zero, so J^T J is singular: the covariance
+        # falls back to its pseudo-inverse and gives b an infinite sigma.
+        x = np.linspace(0.0, 10.0, 30)
+        y = 3.0 * x + np.random.default_rng(0).normal(0.0, 0.1, x.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = least_squares_engine(lambda t, a, b: a * t, x, y, [1.0, 1.0],
+                                       param_names=["a", "b"])
+        assert res.flags == ["unidentifiable:b"]
+        assert res.sigmas["b"] == np.inf
+        assert 0 < res.sigmas["a"] < np.inf
+
+    def test_iteration_cap_is_flagged(self):
+        x = np.linspace(0.0, 10.0, 30)
+        res = least_squares_engine(lambda t, a, k: a * np.exp(-k * t), x,
+                                   3.0 * np.exp(-0.2 * x), [1.0, 1.0],
+                                   param_names=["a", "k"], max_iter=1)
+        assert not res.converged
+        assert res.iterations == 1
+        assert res.flags == ["max-iterations"]
 
     def test_rosenbrock_valley(self):
         def residual(p):
@@ -188,6 +211,12 @@ class TestG2PulsedFit:
         h = TestG2CwFit().make_histogram(0.1, 0.2)
         with pytest.raises(InvalidParameter):
             fit_g2_pulsed(h, tau_o_fixed=0.0)
+
+    @pytest.mark.parametrize("tau_o", [np.inf, np.nan, True])
+    def test_tau_o_must_be_a_finite_number(self, tau_o):
+        h = TestG2CwFit().make_histogram(0.1, 0.2)
+        with pytest.raises(InvalidParameter, match="tau_o_fixed"):
+            fit_g2_pulsed(replace(h, normalization="pulsed"), tau_o_fixed=tau_o)
 
     def test_other_model_normalization_rejected(self):
         h = TestG2CwFit().make_histogram(0.1, 0.2)

@@ -670,6 +670,18 @@ class TestCliFit:
         assert "fit_halfwidth" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("tau_o", ["inf", "nan"])
+    def test_bad_pulsed_tau_o_exits_2_before_reading(self, tmp_path, capsys,
+                                                     monkeypatch, tau_o):
+        reads = []
+        monkeypatch.setattr(fio, "read_histogram_csv", reads.append)
+        out = tmp_path / "out"
+        assert main(["fit", str(tmp_path / "h.csv"), "--model", "pulsed",
+                     "--tau-o", tau_o, "--out", str(out)]) == 2
+        assert "tau_o" in capsys.readouterr().err
+        assert not out.exists()
+        assert reads == []
+
     def test_fit_halfwidth_below_ten_bins_exits_2(self, tmp_path, capsys):
         edges = make_edges(50.0, 1.0)
         counts = np.ones(edges.size - 1, dtype=np.int64)
@@ -778,6 +790,10 @@ class TestCliPipeline:
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": -1}, "seed"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": True}, "seed"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": "1"}, "seed"),
+        ({"emitter": {"w_p": 0.2}, "duration": True, "seed": 1}, "duration"),
+        ({"emitter": {"w_p": True}, "duration": 1e5, "seed": 1}, "w_p"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "detection_efficiency": True}, "detection_efficiency"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
@@ -804,8 +820,10 @@ class TestCliPipeline:
         ({}, {"fit": {"model": "cw", "fit_halfwidth": float("nan")}},
          "fit_halfwidth"),
         ({}, {"fit": {"model": "cw", "fit_halfwidth": -5}}, "fit_halfwidth"),
+        ({"pulse": {"tau_o": 1.0, "period": 100.0}},
+         {"fit": {"model": "pulsed", "tau_o": True}}, "fit.tau_o"),
     ], ids=["unknown-model", "window-without-side-peak", "nan-fit-halfwidth",
-            "negative-fit-halfwidth"])
+            "negative-fit-halfwidth", "bool-fit-tau_o"])
     def test_config_errors_write_nothing(self, tmp_path, capsys, simulate,
                                          config, word):
         simulate = {"emitter": {"w_p": 1.3, "gamma": 2.0}, "duration": 1e5,
@@ -823,6 +841,20 @@ class TestCliPipeline:
         assert main(["pipeline", "--config", str(cfg), "--workers", "-3",
                      "--out", str(tmp_path / "out")]) == 2
         assert "n_chunks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert simulated == []
+
+    @pytest.mark.parametrize("value", ["abc", None, True, "1", [1.0]],
+                             ids=["abc", "null", "true", "string", "list"])
+    @pytest.mark.parametrize("key", ["window", "bin_width"])
+    def test_bad_correlate_number_exits_before_simulating(self, tmp_path, capsys,
+                                                          monkeypatch, key, value):
+        simulated = []
+        monkeypatch.setattr("fiberphoton.cli.simulate_streams", simulated.append)
+        assert self._pipeline(tmp_path, {
+            "simulate": {"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1},
+            "correlate": {key: value}}) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert simulated == []
 

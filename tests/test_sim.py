@@ -106,6 +106,15 @@ class TestCwStatistics:
         cfg = cw_config(gamma=0.0, seed=3)
         assert simulate_emission(cfg).size == 0
 
+    def test_initial_excitation_emits_first(self):
+        # rho_e0 = 1 starts every run excited: the first emission is a plain
+        # Exp(gamma) decay from t = 0, with no Exp(w_p) pump wait before it
+        # (which would add 1/w_p = 20 ns to the mean).
+        firsts = [simulate_emission(SimConfig(
+            emitter=EmitterParams(w_p=0.05, gamma=2.0, rho_e0=1.0),
+            duration=50.0, seed=seed))[0] for seed in range(200)]
+        assert abs(np.mean(firsts) - 0.5) < 5.0 * 0.5 / np.sqrt(200)
+
     def test_antibunching_in_waiting_times(self):
         # Successive cw emissions are separated by at least an Exp(w_p) pump
         # wait, so short gaps are suppressed relative to Poisson.
@@ -270,6 +279,21 @@ class TestDetectionChain:
         for s in (s1, s2):
             if s.times.size > 1:
                 assert np.min(np.diff(s.times)) >= 5.0
+
+    def test_tied_emissions_move_by_one_ulp(self):
+        # Every emission twice, kept and unjittered: a channel that gets both
+        # copies of a time holds it and the next float above it.
+        base = np.arange(1.0, 501.0)
+        s1, s2 = detect_hbt(np.repeat(base, 2), cw_config(duration=1e3, seed=23))
+        for t in (s1.times, s2.times):
+            assert np.all(np.diff(t) > 0)
+            tied = np.flatnonzero(np.diff(np.round(t)) == 0)
+            assert tied.size
+            assert np.array_equal(t[tied + 1], np.nextafter(t[tied], np.inf))
+            assert np.array_equal(np.delete(t, tied + 1),
+                                  np.unique(np.round(t)))
+        times = np.concatenate([s1.times, s2.times])
+        assert np.array_equal(np.sort(np.round(times)), np.repeat(base, 2))
 
     def test_unsorted_emissions_rejected(self):
         cfg = cw_config(seed=28)
