@@ -221,11 +221,14 @@ def normalize_cw(h: CoincidenceHistogram, rate1: float,
                  rate2: float) -> CoincidenceHistogram:
     """Normalize by the uncorrelated expectation rate1*rate2*bin_width*duration.
 
-    rate1/rate2 are per-channel event rates in events/ns.  Poissonian input
-    normalizes to 1 in every bin within statistical error.  Zero-count bins
-    get norm_err equal to the one-count error; a histogram whose counts are
-    all zero is flagged low-statistics.
+    rate1/rate2 are per-channel event rates in events/ns: a rate that is not a
+    finite number raises InvalidParameter, and one <= 0 DegenerateInput.
+    Poissonian input normalizes to 1 in every bin within statistical error.
+    Zero-count bins get norm_err equal to the one-count error; a histogram
+    whose counts are all zero is flagged low-statistics.
     """
+    check_number("rate1", rate1, -math.inf, math.inf, "()")
+    check_number("rate2", rate2, -math.inf, math.inf, "()")
     if rate1 <= 0 or rate2 <= 0:
         raise DegenerateInput("per-channel rates must be > 0 to normalize")
     denom = rate1 * rate2 * h.bin_width * h.duration
@@ -251,10 +254,16 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     from the side peaks (which carry no antibunching) by projecting their
     excess onto the model envelope e(tau) = pulse_envelope(tau, tau_o) in each side
     peak k*period +- period/2 that the bin edges hold whole; rho comes from
-    the supplied per-channel singles rates of signal and background.
+    the supplied per-channel singles rates of signal and background.  Rates
+    must be finite numbers and background rates >= 0 (else InvalidParameter);
+    a signal rate <= 0 raises DegenerateInput.
     """
     r1, r2 = signal_rates
     b1, b2 = background_rates
+    for rate in signal_rates:
+        check_number("signal_rates", rate, -math.inf, math.inf, "()")
+    for rate in background_rates:
+        check_number("background_rates", rate, 0, math.inf, "[)")
     if r1 <= 0 or r2 <= 0:
         raise DegenerateInput("signal rates must be > 0")
     rho2 = (r1 * r2) / ((r1 + b1) * (r2 + b2))

@@ -18,12 +18,23 @@ and the draws dropped after a spill-over are independent of all before it.
 Everything is deterministic for a fixed SimConfig: all randomness descends
 from numpy SeedSequence children of the config seed, with separate
 sub-streams for emission, detection, and each channel's additive events.
+
+Memory is bounded by the output, not by scratch copies of it.  Emission
+holds its output at most twice (the vectorized pass's sorted blocks and their
+concatenation) plus the scratch of one block of _BLOCK pulses, which is what
+sets its ~27 MB peak at criterion 6.  Detection never copies the caller's
+array and holds beyond it the two channel buffers and two one-byte masks per
+emission.  Long draws are made in chunks of _CHUNK, which consume each
+stream in the same order as one draw, so the bytes do not depend on the
+chunking.  An acquisition whose expected emissions would not fit in
+physical memory is refused before any draw.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +49,9 @@ from .errors import InvalidParameter, check_number
 _HANDOFF = 128
 
 _BLOCK = 1 << 19
+
+#: Draws longer than this are made chunk by chunk into their destination.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,7 @@ class TimestampStream:
             raise InvalidParameter(f"channel must be 1 or 2, got {self.channel}")
         check_number("duration", self.duration, 0, math.inf, "()")
         if self.times.size:
-            if not np.all(np.diff(self.times) > 0):
+            if not np.all(self.times[1:] > self.times[:-1]):
                 raise InvalidParameter("times must be strictly increasing")
             if not (self.times[0] >= 0 and self.times[-1] <= self.duration):
                 raise InvalidParameter("times must lie within [0, duration]")
@@ -130,6 +144,20 @@ class TimestampStream:
 def _rng_children(seed: int, n: int):
     ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(c) for c in ss.spawn(n)]
+
+
+def _chunks(n: int):
+    """(slice, length) pairs that cover range(n) in pieces of _CHUNK.  A draw
+    per piece consumes a Generator exactly as one draw of n does."""
+    return ((slice(i, i + _CHUNK), min(_CHUNK, n - i)) for i in range(0, n, _CHUNK))
+
+
+def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """rng.random(n) < p, with no float array of length n."""
+    mask = np.empty(n, dtype=bool)
+    for sl, m in _chunks(n):
+        mask[sl] = rng.random(m) < p
+    return mask
 
 
 def _cw_emissions(p: EmitterParams, duration: float,
@@ -147,14 +175,17 @@ def _cw_emissions(p: EmitterParams, duration: float,
             return np.empty(0)
     while t <= duration:
         n = max(64, int((duration - t) / mean_cycle * 1.1) + 16)
-        waits = rng.exponential(1.0 / p.w_p, n) + rng.exponential(1.0 / p.gamma, n)
-        times = t + np.cumsum(waits)
-        keep = times <= duration
-        out.append(times[keep])
-        if not keep.all():
+        times = rng.exponential(1.0 / p.w_p, n)
+        for sl, m in _chunks(n):
+            times[sl] += rng.exponential(1.0 / p.gamma, m)
+        np.cumsum(times, out=times)
+        times += t
+        k = int(np.searchsorted(times, duration, side="right"))
+        out.append(times[:k])
+        if k < n:
             break
         t = times[-1]
-    return np.concatenate(out) if out else np.empty(0)
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _pulse_blocks(p: EmitterParams, pulse: PulseParams, first: int,
@@ -176,26 +207,30 @@ def _pulse_blocks(p: EmitterParams, pulse: PulseParams, first: int,
             t_em = (_pulse_invert_hazard(s[idx], e, p.w_p, pulse)
                     + rng.exponential(1.0 / p.gamma, idx.size))
             times.append((first + idx) * pulse.period + t_em)
-            owners.append(idx)
+            owners.append(idx.astype(np.int32))
             within = t_em < pulse.period
             if not within.all():
                 cut = min(cut, int(idx[~within][0]))
             keep = within & (idx < cut)
             idx = idx[keep]
             s[idx] = t_em[keep]
-        out.append(np.sort(np.concatenate(times)[np.concatenate(owners) <= cut]))
+        block = np.concatenate(times)
+        del times
+        if cut < nb:
+            block = block[np.concatenate(owners) <= cut]
+        del owners
+        block.sort()
+        out.append(block)
         if cut < nb:
             return out, float(out[-1][-1])
         first, size = first + nb, min(2 * size, _BLOCK)
     return out, math.inf
 
 
-def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, duration: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """The pulsed event loop, handing runs of pulses to _pulse_blocks."""
-    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse))
-    if h_full <= 0:
-        return np.empty(0)
+def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
+                      duration: float, rng: np.random.Generator) -> np.ndarray:
+    """The pulsed event loop, handing runs of pulses to _pulse_blocks.  h_full
+    is the pump hazard of one whole pulse."""
     n_pulses = math.ceil(duration / pulse.period)
     out, run, t, streak = [], [], 0.0, 0
     excited = p.rho_e0 > 0 and rng.random() < p.rho_e0
@@ -221,7 +256,8 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, duration: float,
         excited, streak = False, (streak + 1 if t // pulse.period == k else 0)
         run.append(t)
     emissions = np.concatenate(out + [run])
-    return emissions[emissions <= duration]
+    del out, run
+    return emissions[:np.searchsorted(emissions, duration, side="right")]
 
 
 def simulate_emission(cfg: SimConfig) -> np.ndarray:
@@ -232,23 +268,37 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     emitter.pulse_envelope), restarting every period; the one sampler
     described in the module docstring is exact for any gamma, starts excited
     with probability rho_e0 and pumps the last partial pulse.
+
+    Raises InvalidParameter, before any draw, when 8 bytes per expected
+    emission exceed physical memory: duration / (1/w_p + 1/gamma) emissions
+    for cw, and one per unit of whole-pulse pump hazard plus one for pulsed.
     """
     rng = _rng_children(cfg.seed, 5)[0]
     p = cfg.emitter
     if p.gamma == 0:
         return np.empty(0)
     if cfg.pulse is None:
+        expected = cfg.duration / (1.0 / p.w_p + 1.0 / p.gamma)
+    else:
+        h_full = float(_pulse_hazard_remaining(0.0, p.w_p, cfg.pulse))
+        if h_full <= 0:
+            return np.empty(0)
+        expected = math.ceil(cfg.duration / cfg.pulse.period) * h_full + 1
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * expected > memory:
+        raise InvalidParameter(
+            f"the acquisition expects ~{expected:.3g} emissions, "
+            f"{8 * expected / 1e9:.3g} GB, more than the "
+            f"{memory / 1e9:.3g} GB of physical memory; shorten the duration")
+    if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
-    return _pulsed_emissions(p, cfg.pulse, cfg.duration, rng)
+    return _pulsed_emissions(p, cfg.pulse, h_full, cfg.duration, rng)
 
 
 def _make_strict(times: np.ndarray) -> np.ndarray:
-    """Sort and break exact ties so times are strictly increasing."""
-    times = np.sort(times)
-    if times.size < 2:
-        return times
+    """Break exact ties of sorted times, in place, so they strictly increase."""
     while True:
-        ties = np.flatnonzero(np.diff(times) <= 0)
+        ties = np.flatnonzero(times[1:] <= times[:-1])
         if ties.size == 0:
             return times
         times[ties + 1] = np.nextafter(times[ties], np.inf)
@@ -272,27 +322,48 @@ def detect_hbt(emissions: np.ndarray,
     Each emission is kept with probability detection_efficiency, routed 50/50
     to channel 1 or 2, smeared with Gaussian jitter, and merged with Poisson
     dark and background events of the configured per-channel rates.  Events
-    jittered outside [0, duration] are dropped.
+    (jittered or given) outside [0, duration] are dropped.
+
+    Memory: the caller's array is read in chunks and never copied.  Beyond
+    it, the peak is one buffer per channel, filled chunk by chunk and sorted
+    in place (the streams before dead time), and two masks of one byte per
+    emission: 1.3 times the two streams at criterion 5.
     """
     emissions = np.asarray(emissions, dtype=float)
-    if emissions.size and np.any(np.diff(emissions) < 0):
+    if np.any(emissions[1:] < emissions[:-1]):
         raise InvalidParameter("emissions must be sorted ascending")
     _, det_rng, ch1_rng, ch2_rng, jit_rng = _rng_children(cfg.seed, 5)
 
-    kept = emissions[det_rng.random(emissions.size) < cfg.detection_efficiency]
-    to_ch1 = det_rng.random(kept.size) < 0.5
-    if cfg.jitter_sigma > 0 and kept.size:
-        kept = kept + jit_rng.normal(0.0, cfg.jitter_sigma, kept.size)
+    keep = _bernoulli(det_rng, emissions.size, cfg.detection_efficiency)
+    to_ch1 = _bernoulli(det_rng, int(np.count_nonzero(keep)), 0.5)
+    n1 = int(np.count_nonzero(to_ch1))
+    extra_rate = cfg.background_per_channel
+    bufs = []
+    for n, rng in ((n1, ch1_rng), (to_ch1.size - n1, ch2_rng)):
+        n_extra = int(rng.poisson(extra_rate * cfg.duration)) if extra_rate > 0 else 0
+        buf = np.empty(n + n_extra)
+        for sl, m in _chunks(n_extra):
+            buf[n:][sl] = rng.uniform(0.0, cfg.duration, m)
+        bufs.append(buf)
+    # The kept emissions, jittered, go to the fronts of the channel buffers.
+    routed, filled = 0, [0, 0]
+    for sl, _ in _chunks(emissions.size):
+        part = emissions[sl][keep[sl]]
+        if cfg.jitter_sigma > 0:
+            part += jit_rng.normal(0.0, cfg.jitter_sigma, part.size)
+        route = to_ch1[routed:routed + part.size]
+        routed += part.size
+        for i, mine in enumerate((part[route], part[~route])):
+            bufs[i][filled[i]:filled[i] + mine.size] = mine
+            filled[i] += mine.size
+    del keep, to_ch1
 
     streams = []
-    for channel, rng, mine in ((1, ch1_rng, to_ch1), (2, ch2_rng, ~to_ch1)):
-        times = kept[mine]
-        extra_rate = cfg.background_per_channel
-        if extra_rate > 0:
-            n_extra = rng.poisson(extra_rate * cfg.duration)
-            times = np.concatenate([times, rng.uniform(0.0, cfg.duration, n_extra)])
-        times = times[(times >= 0.0) & (times <= cfg.duration)]
-        times = _make_strict(times)
+    for channel in (1, 2):
+        times = bufs.pop(0)
+        times.sort()
+        times = _make_strict(times[np.searchsorted(times, 0.0):
+                                   np.searchsorted(times, cfg.duration, side="right")])
         if cfg.dead_time > 0:
             times = _apply_dead_time(times, cfg.dead_time)
         streams.append(TimestampStream(channel=channel, times=times,

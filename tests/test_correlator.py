@@ -278,6 +278,30 @@ class TestNormalization:
         with pytest.raises(DegenerateInput):
             normalize_cw(h, 0.0, 1.0)
 
+    @pytest.mark.parametrize("normalize, kwargs", [
+        (normalize_cw, dict(rate1=np.nan, rate2=1.0)),
+        (normalize_cw, dict(rate1=1.0, rate2=np.inf)),
+        (normalize_cw, dict(rate1=True, rate2=1.0)),
+        (normalize_pulsed, dict(signal_rates=(np.nan, 1e-3),
+                                background_rates=(1e-4, 1e-4))),
+        (normalize_pulsed, dict(signal_rates=(1e-3, -np.inf),
+                                background_rates=(1e-4, 1e-4))),
+        (normalize_pulsed, dict(signal_rates=(1e-3, 1e-3),
+                                background_rates=(np.inf, 1e-4))),
+        (normalize_pulsed, dict(signal_rates=(1e-3, 1e-3),
+                                background_rates=(1e-4, -1e-4))),
+    ], ids=["cw-nan", "cw-inf", "cw-bool", "pulsed-signal-nan",
+            "pulsed-signal-inf", "pulsed-background-inf",
+            "pulsed-background-negative"])
+    def test_rates_must_be_finite_numbers(self, normalize, kwargs):
+        """NaN used to give an all-NaN norm and inf an all-zero one; a
+        finite signal rate <= 0 stays a DegenerateInput."""
+        h = CoincidenceHistogram(make_edges(450.0, 1.0), np.ones(900, int), 1e6)
+        if normalize is normalize_pulsed:
+            kwargs = dict(kwargs, period=100.0, tau_o=6.0)
+        with pytest.raises(InvalidParameter, match="rate"):
+            normalize(h, **kwargs)
+
     def test_zero_counts_low_statistics_flag(self):
         h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 1.0)
         hn = normalize_cw(h, 1e-3, 1e-3)

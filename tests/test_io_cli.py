@@ -369,6 +369,16 @@ class TestCliSimulate:
                      "--seed", "1", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_acquisition_beyond_memory_exits_2(self, tmp_path, capsys):
+        """The expected emissions are checked against physical memory before
+        any draw (numpy used to fail with a traceback at 1e20 ns)."""
+        out = tmp_path / "out"
+        code = main(["simulate", "--wp", "0.2", "--gamma", "0.4",
+                     "--duration", "1e20", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pulsed_requires_pulse_flags(self, tmp_path):
         code = main(["simulate", "--wp", "0.5", "--tau-o", "6",
                      "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])

@@ -1,9 +1,13 @@
 """Stochastic photon-stream generator: determinism and statistical checks."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberphoton.emitter import (
     EmitterParams,
@@ -13,9 +17,12 @@ from fiberphoton.emitter import (
     _pulse_invert_hazard,
     saturation_model,
 )
+from fiberphoton import sim
 from fiberphoton.errors import InvalidParameter
 from fiberphoton.sim import (
     SimConfig,
+    _apply_dead_time,
+    _rng_children,
     detect_hbt,
     pump_for_intensity_curve,
     simulate_emission,
@@ -63,6 +70,34 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
         if t <= duration:
             out.append(t)
     return np.asarray(out)
+
+
+# Test oracle: the detection chain with one whole-array draw and one copy per
+# step.  detect_hbt draws in chunks into per-channel buffers and must give the
+# same bytes.
+def _detect_hbt_reference(emissions: np.ndarray, cfg: SimConfig):
+    _, det_rng, ch1_rng, ch2_rng, jit_rng = _rng_children(cfg.seed, 5)
+    kept = emissions[det_rng.random(emissions.size) < cfg.detection_efficiency]
+    to_ch1 = det_rng.random(kept.size) < 0.5
+    if cfg.jitter_sigma > 0 and kept.size:
+        kept = kept + jit_rng.normal(0.0, cfg.jitter_sigma, kept.size)
+    streams = []
+    for rng, mine in ((ch1_rng, to_ch1), (ch2_rng, ~to_ch1)):
+        times = kept[mine]
+        extra_rate = cfg.background_per_channel
+        if extra_rate > 0:
+            n_extra = rng.poisson(extra_rate * cfg.duration)
+            times = np.concatenate([times, rng.uniform(0.0, cfg.duration, n_extra)])
+        times = np.sort(times[(times >= 0.0) & (times <= cfg.duration)])
+        while times.size > 1:
+            ties = np.flatnonzero(np.diff(times) <= 0)
+            if ties.size == 0:
+                break
+            times[ties + 1] = np.nextafter(times[ties], np.inf)
+        if cfg.dead_time > 0:
+            times = _apply_dead_time(times, cfg.dead_time)
+        streams.append(times)
+    return streams
 
 
 def cw_config(w_p=0.01, gamma=0.02, duration=1e6, seed=0, **kw):
@@ -299,6 +334,80 @@ class TestDetectionChain:
         cfg = cw_config(seed=28)
         with pytest.raises(InvalidParameter):
             detect_hbt(np.array([2.0, 1.0]), cfg)
+
+    def test_emissions_outside_duration_dropped(self):
+        """Given emissions below 0 or past the duration are dropped also
+        with no jitter, not rejected."""
+        s1, s2 = detect_hbt(np.array([-1.0, 5.0, 50.0, 150.0]),
+                            cw_config(duration=100.0, seed=0))
+        assert sorted(np.concatenate([s1.times, s2.times])) == [5.0, 50.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(emissions=st.lists(st.one_of(st.floats(-20.0, 220.0),
+                                        st.integers(-5, 205).map(float)),
+                              max_size=300),
+           duration=st.sampled_from([100.0, 200.0]),
+           efficiency=st.one_of(st.just(1.0), st.floats(0.05, 0.95)),
+           jitter=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+           dark=st.sampled_from([0.0, 0.05]),
+           background=st.sampled_from([0.0, 0.3]),
+           dead_time=st.sampled_from([0.0, 2.0]),
+           seed=st.integers(0, 2**32),
+           chunk=st.sampled_from([1, 7, sim._CHUNK]))
+    @example(emissions=[-1.0, 5.0, 50.0, 150.0], duration=100.0, efficiency=1.0,
+             jitter=0.0, dark=0.0, background=0.0, dead_time=0.0, seed=0,
+             chunk=sim._CHUNK)
+    def test_same_bytes_as_whole_array_reference(
+            self, emissions, duration, efficiency, jitter, dark, background,
+            dead_time, seed, chunk):
+        """Both streams equal the reference's byte for byte, for any chunk
+        size.  Integer times make exact ties; "+ 0.0" drops -0.0, whose
+        order against 0.0 no sort fixes."""
+        em = np.sort(np.array(emissions, dtype=float) + 0.0)
+        cfg = cw_config(duration=duration, seed=seed,
+                        detection_efficiency=efficiency, jitter_sigma=jitter,
+                        dark_rate_per_channel=dark, background_rate=background,
+                        dead_time=dead_time)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            streams = detect_hbt(em, cfg)
+        for s, ref in zip(streams, _detect_hbt_reference(em, cfg)):
+            assert s.times.tobytes() == ref.tobytes()
+
+
+class TestMemory:
+    def test_peaks_are_fixed_multiples_of_the_output(self):
+        """At criterion 5 (seed 0) emission holds its output at most ~2 times
+        (the sorted blocks and their concatenation) and detection ~1.3 times
+        its two streams beyond its input; one copy more of either fails."""
+        cfg = SimConfig(emitter=EmitterParams(w_p=1.3, gamma=2.0),
+                        pulse=PulseParams(tau_o=6.0, period=100.0),
+                        duration=1e8, seed=0)
+        tracemalloc.start()
+        try:
+            em = simulate_emission(cfg)
+            emit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cfg = dataclasses.replace(
+            cfg, background_rate=em.size / cfg.duration * 0.08 / 0.92)
+        tracemalloc.start()
+        try:
+            s1, s2 = detect_hbt(em, cfg)
+            detect_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert em.size > 3_000_000
+        assert emit_peak <= 2.1 * em.nbytes
+        assert detect_peak <= 1.5 * (s1.times.nbytes + s2.times.nbytes)
+
+    @pytest.mark.parametrize("pulse", [None, PulseParams(tau_o=6.0, period=100.0)],
+                             ids=["cw", "pulsed"])
+    def test_acquisition_beyond_physical_memory_refused(self, pulse):
+        cfg = SimConfig(emitter=EmitterParams(w_p=0.2, gamma=0.4),
+                        duration=1e20, seed=1, pulse=pulse)
+        with pytest.raises(InvalidParameter, match="physical memory"):
+            simulate_emission(cfg)
 
 
 class TestSaturationSweep:
