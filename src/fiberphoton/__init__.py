@@ -11,7 +11,6 @@ Subpackages:
 """
 
 from .emitter import (
-    BackgroundMix,
     EmitterParams,
     PulseParams,
     SaturationParams,

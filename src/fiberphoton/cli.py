@@ -221,7 +221,10 @@ def cmd_pipeline(args) -> int:
             f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
     window = cor_cfg.get("window", corr.DEFAULT_CW_WINDOW)
     bin_width = cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH)
-    corr.make_edges(window, bin_width)  # a bad window fails before simulating
+    # A bad window, or a pulsed one with no side peak, fails before simulating.
+    edges = corr.make_edges(window, bin_width)
+    if model == "pulsed":
+        corr._side_peaks(edges, cfg.pulse.period, cfg.pulse.period / 2.0)
 
     streams = simulate_streams(cfg)
     h = _correlate(*streams, window, bin_width, args.workers,

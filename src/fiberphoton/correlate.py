@@ -200,20 +200,21 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                                 flags=["empty-input"] if empty else [])
 
 
-def _side_peaks(h: CoincidenceHistogram, period: float,
+def _side_peaks(edges: np.ndarray, period: float,
                 halfwidth: float) -> list[tuple[int, np.ndarray]]:
     """(k, bin mask) in ascending k of each side peak k*period +- halfwidth,
-    k != 0, that lies whole inside h.bin_edges; a bin belongs to a peak when
-    its centre does.  Raises InsufficientPeaks when there is none.
+    k != 0, that lies whole inside the bin edges; a bin belongs to a peak when
+    its centre does.  Raises InsufficientPeaks when there is none, so it can
+    check a window before any histogram is built.
     """
     # 1e-9 periods of slack keeps a peak that ends on the outer edge.
-    k_lo = int(np.ceil((h.bin_edges[0] + halfwidth) / period - 1e-9))
-    k_hi = int(np.floor((h.bin_edges[-1] - halfwidth) / period + 1e-9))
+    k_lo = int(np.ceil((edges[0] + halfwidth) / period - 1e-9))
+    k_hi = int(np.floor((edges[-1] - halfwidth) / period + 1e-9))
     ks = [k for k in range(k_lo, k_hi + 1) if k != 0]
     if not ks:
         raise InsufficientPeaks(f"no side peak k*{period:g} +- {halfwidth:g} ns "
                                 f"lies whole inside the bin edges")
-    centers = h.centers
+    centers = 0.5 * (edges[:-1] + edges[1:])
     return [(k, np.abs(centers - k * period) <= halfwidth) for k in ks]
 
 
@@ -272,7 +273,7 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     centers = h.centers
     excess = h.counts - floor
     heights = []
-    for k, sel in _side_peaks(h, period, period / 2.0):
+    for k, sel in _side_peaks(h.bin_edges, period, period / 2.0):
         env = pulse_envelope(centers[sel] - k * period, tau_o)
         heights.append(float(np.dot(excess[sel], env) / np.dot(env, env)))
     peak_scale = float(np.mean(heights))
@@ -315,7 +316,7 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
     check_number("peak_halfwidth", peak_halfwidth, 0, period / 2.0)
     check_number("background_per_bin", background_per_bin, 0, math.inf, "[)")
     side_sums = [int(h.counts[sel].sum())
-                 for _, sel in _side_peaks(h, period, peak_halfwidth)]
+                 for _, sel in _side_peaks(h.bin_edges, period, peak_halfwidth)]
     zero = np.abs(h.centers) <= peak_halfwidth
     zero_sum = int(h.counts[zero].sum())
     bg_per_peak = background_per_bin * int(np.count_nonzero(zero))

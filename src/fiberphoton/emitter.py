@@ -1,12 +1,12 @@
 """Closed-form three-level emitter model.
 
-Population dynamics of a pumped emitter (ground state pumped at rate w_p into
-a radiative state that decays at rate gamma) and the second-order
-autocorrelation curves derived from it: the cw dip, the pulse envelope
-exp(-2|tau|/tau_o), its pump hazard and the pulsed dip, their background
-mix, and the pulse-integrated zero-delay value; plus the power-saturation
-law.  All rates are in 1/ns and all times in ns; a millisecond-scale
-radiative lifetime is simply gamma = 1e-6 /ns.
+Population dynamics of a pumped emitter that starts in its ground state
+(pumped at rate w_p into a radiative state that decays at rate gamma) and the
+steady-state second-order autocorrelation curves derived from it: the cw dip,
+the pulse envelope exp(-2|tau|/tau_o), its pump hazard and the pulsed dip,
+their background mix, and the pulse-integrated zero-delay value; plus the
+power-saturation law.  All rates are in 1/ns and all times in ns; a
+millisecond-scale radiative lifetime is simply gamma = 1e-6 /ns.
 
 Each curve is written here only.  The functions accept scalar or ndarray time
 arguments and are pure, so they serve as the fit models, the pulsed
@@ -33,19 +33,16 @@ class EmitterParams:
     w_p     -- effective pump rate, ground -> radiative state (1/ns)
     gamma   -- spontaneous decay rate of the radiative state (1/ns)
     g2_0    -- residual autocorrelation at zero delay, in [0, 1]
-    rho_e0  -- initial excited-state population, in [0, 1]
     """
 
     w_p: float
     gamma: float = DEFAULT_GAMMA
     g2_0: float = 0.0
-    rho_e0: float = 0.0
 
     def __post_init__(self):
         check_number("w_p", self.w_p, 0, math.inf, "()")
         check_number("gamma", self.gamma, 0, math.inf, "[)")
         check_number("g2_0", self.g2_0, 0, 1)
-        check_number("rho_e0", self.rho_e0, 0, 1)
 
     @property
     def total_rate(self) -> float:
@@ -69,27 +66,16 @@ class PulseParams:
         check_number("period", self.period, self.tau_o, math.inf, "()")
 
 
-@dataclass(frozen=True)
-class BackgroundMix:
-    """Emitter-to-total intensity ratio rho = I_em / (I_em + I_bg)."""
-
-    rho: float
-
-    def __post_init__(self):
-        check_number("rho", self.rho, 0, 1)
-
-
 def excited_population(p: EmitterParams, tau):
-    """Excited-state population rho_e(tau) for tau >= 0.
+    """Excited-state population rho_e(tau) for tau >= 0, from the ground state
+    at tau = 0:
 
-    rho_e(tau) = ss * (1 - exp(-(w_p+gamma) tau)) + rho_e0 * exp(-(w_p+gamma) tau)
-    with ss = w_p / (w_p + gamma).
+    rho_e(tau) = ss * (1 - exp(-(w_p+gamma) tau)),  ss = w_p / (w_p + gamma).
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameter("tau must be >= 0")
-    decay = np.exp(-p.total_rate * tau)
-    out = p.steady_state * (1.0 - decay) + p.rho_e0 * decay
+    out = p.steady_state * (1.0 - np.exp(-p.total_rate * tau))
     return out if out.ndim else float(out)
 
 
@@ -135,14 +121,15 @@ def _pulse_invert_hazard(s, e, w0, pulse: PulseParams):
 
 
 def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):
-    """Pulsed autocorrelation: exponential pulse envelope times the reduced dip.
+    """Pulsed autocorrelation: exponential pulse envelope times the reduced dip,
+    which is g2_pulsed_mixed_model with no background (rho = 1):
 
     g2(tau) = exp(-2 tau / tau_o) * [1 - (1 - g2_0) exp(-w_p tau)],  tau >= 0.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise InvalidParameter("tau must be >= 0 for the pulsed model")
-    out = pulse_envelope(tau, pulse.tau_o) * g2_cw_reduced(p.g2_0, p.w_p, tau)
+    out = g2_pulsed_mixed_model(tau, 1.0, p.g2_0, p.w_p, pulse.tau_o)
     return out if out.ndim else float(out)
 
 
@@ -155,15 +142,17 @@ def g2_pulsed_mixed_model(tau, rho, g2_0, w_p, tau_o):
         g2_0, w_p, tau)
 
 
-def g2_background_mixed(g2, mix: BackgroundMix):
-    """Mix an emitter autocorrelation with Poissonian background:
+def g2_background_mixed(g2, rho: float):
+    """Mix an emitter autocorrelation with Poissonian background, where
+    rho = I_em / (I_em + I_bg) in [0, 1] is the emitter-to-total intensity:
 
     g2_exp = 1 - rho^2 + rho^2 * g2
     """
+    check_number("rho", rho, 0, 1)
     g2 = np.asarray(g2, dtype=float)
     if np.any(g2 < 0):
         raise InvalidParameter("g2 must be >= 0")
-    out = 1.0 - mix.rho**2 + mix.rho**2 * g2
+    out = 1.0 - rho**2 + rho**2 * g2
     return out if out.ndim else float(out)
 
 

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .correlate import CoincidenceHistogram
-from .emitter import (BackgroundMix, g2_background_mixed, g2_cw_reduced,
-                      g2_pulsed_mixed_model, saturation_model)
+from .emitter import (g2_background_mixed, g2_cw_reduced, g2_pulsed_mixed_model,
+                      saturation_model)
 from .errors import DegenerateInput, InvalidParameter, check_number
 
 MAX_ITERATIONS = 200
@@ -315,8 +315,8 @@ def fit_g2_pulsed(h: CoincidenceHistogram, tau_o_fixed: float,
         sigma=err, param_names=["rho", "g2_0", "w_p"],
     )
     result = _with_dip_width(result)
-    result.params["g2_exp_0"] = g2_background_mixed(
-        result.params["g2_0"], BackgroundMix(result.params["rho"]))
+    result.params["g2_exp_0"] = g2_background_mixed(result.params["g2_0"],
+                                                    result.params["rho"])
     return result
 
 

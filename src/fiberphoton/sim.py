@@ -26,8 +26,9 @@ sets its ~27 MB peak at criterion 6.  Detection never copies the caller's
 array and holds beyond it the two channel buffers and two one-byte masks per
 emission.  Long draws are made in chunks of _CHUNK, which consume each
 stream in the same order as one draw, so the bytes do not depend on the
-chunking.  An acquisition whose expected emissions would not fit in
-physical memory is refused before any draw.
+chunking.  An acquisition whose expected emissions, or detected events
+with dark and background, would not fit in physical memory is refused before
+that stage draws.
 """
 
 from __future__ import annotations
@@ -166,13 +167,6 @@ def _cw_emissions(p: EmitterParams, duration: float,
     mean_cycle = 1.0 / p.w_p + 1.0 / p.gamma
     out = []
     t = 0.0
-    start_excited = p.rho_e0 > 0 and rng.random() < p.rho_e0
-    if start_excited:
-        t = rng.exponential(1.0 / p.gamma)
-        if t <= duration:
-            out.append(np.array([t]))
-        else:
-            return np.empty(0)
     while t <= duration:
         n = max(64, int((duration - t) / mean_cycle * 1.1) + 16)
         times = rng.exponential(1.0 / p.w_p, n)
@@ -233,31 +227,40 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
     is the pump hazard of one whole pulse."""
     n_pulses = math.ceil(duration / pulse.period)
     out, run, t, streak = [], [], 0.0, 0
-    excited = p.rho_e0 > 0 and rng.random() < p.rho_e0
     while t <= duration:
-        if not excited:
-            e = rng.exponential(1.0)
-            phase = t % pulse.period
-            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
-            if e < h0:
-                t += float(_pulse_invert_hazard(phase, e, p.w_p, pulse)) - phase
-            elif streak >= _HANDOFF:
-                blocks, t = _pulse_blocks(p, pulse, int(t // pulse.period) + 1,
-                                          n_pulses, rng)
-                out += [run, *blocks]
-                run, streak = [], 0
-                continue
-            else:
-                skip, e = divmod(e - h0, h_full)
-                t += ((skip + 1) * pulse.period - phase
-                      + float(_pulse_invert_hazard(0.0, e, p.w_p, pulse)))
+        e = rng.exponential(1.0)
+        phase = t % pulse.period
+        h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
+        if e < h0:
+            t += float(_pulse_invert_hazard(phase, e, p.w_p, pulse)) - phase
+        elif streak >= _HANDOFF:
+            blocks, t = _pulse_blocks(p, pulse, int(t // pulse.period) + 1,
+                                      n_pulses, rng)
+            out += [run, *blocks]
+            run, streak = [], 0
+            continue
+        else:
+            skip, e = divmod(e - h0, h_full)
+            t += ((skip + 1) * pulse.period - phase
+                  + float(_pulse_invert_hazard(0.0, e, p.w_p, pulse)))
         k = t // pulse.period
         t += rng.exponential(1.0 / p.gamma)
-        excited, streak = False, (streak + 1 if t // pulse.period == k else 0)
+        streak = streak + 1 if t // pulse.period == k else 0
         run.append(t)
     emissions = np.concatenate(out + [run])
     del out, run
     return emissions[:np.searchsorted(emissions, duration, side="right")]
+
+
+def _check_memory(expected: float, what: str):
+    """Raise InvalidParameter when 8 bytes per expected value exceed physical
+    memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * expected > memory:
+        raise InvalidParameter(
+            f"the acquisition expects ~{expected:.3g} {what}, "
+            f"{8 * expected / 1e9:.3g} GB, more than the "
+            f"{memory / 1e9:.3g} GB of physical memory; shorten the duration")
 
 
 def simulate_emission(cfg: SimConfig) -> np.ndarray:
@@ -266,8 +269,8 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     cw: alternating exponential pump and decay waits.  Pulsed: the pump rate
     is modulated by the exponential envelope of cfg.pulse (width tau_o,
     emitter.pulse_envelope), restarting every period; the one sampler
-    described in the module docstring is exact for any gamma, starts excited
-    with probability rho_e0 and pumps the last partial pulse.
+    described in the module docstring is exact for any gamma and pumps the
+    last partial pulse.  Both start in the ground state at t = 0.
 
     Raises InvalidParameter, before any draw, when 8 bytes per expected
     emission exceed physical memory: duration / (1/w_p + 1/gamma) emissions
@@ -284,12 +287,7 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
         if h_full <= 0:
             return np.empty(0)
         expected = math.ceil(cfg.duration / cfg.pulse.period) * h_full + 1
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * expected > memory:
-        raise InvalidParameter(
-            f"the acquisition expects ~{expected:.3g} emissions, "
-            f"{8 * expected / 1e9:.3g} GB, more than the "
-            f"{memory / 1e9:.3g} GB of physical memory; shorten the duration")
+    _check_memory(expected, "emissions")
     if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
     return _pulsed_emissions(p, cfg.pulse, h_full, cfg.duration, rng)
@@ -327,11 +325,15 @@ def detect_hbt(emissions: np.ndarray,
     Memory: the caller's array is read in chunks and never copied.  Beyond
     it, the peak is one buffer per channel, filled chunk by chunk and sorted
     in place (the streams before dead time), and two masks of one byte per
-    emission: 1.3 times the two streams at criterion 5.
+    emission: 1.3 times the two streams at criterion 5.  When 8 bytes per
+    emission and per expected dark or background event exceed physical
+    memory, it raises InvalidParameter before any draw.
     """
     emissions = np.asarray(emissions, dtype=float)
     if np.any(emissions[1:] < emissions[:-1]):
         raise InvalidParameter("emissions must be sorted ascending")
+    _check_memory(emissions.size + 2 * cfg.background_per_channel * cfg.duration,
+                  "detected events")
     _, det_rng, ch1_rng, ch2_rng, jit_rng = _rng_children(cfg.seed, 5)
 
     keep = _bernoulli(det_rng, emissions.size, cfg.detection_efficiency)

@@ -5,7 +5,6 @@ import pytest
 from conftest import trapezoid
 
 from fiberphoton.emitter import (
-    BackgroundMix,
     EmitterParams,
     PulseParams,
     excited_population,
@@ -19,14 +18,15 @@ from fiberphoton.emitter import (
 from fiberphoton.errors import DegenerateInput, InvalidParameter
 
 
-def rk4_population(w_p, gamma, rho_e0, t_end, n_steps=4000):
-    """Fixed-step RK4 integration of drho/dt = w_p (1 - rho) - gamma rho."""
+def rk4_population(w_p, gamma, t_end, n_steps=4000):
+    """Fixed-step RK4 integration of drho/dt = w_p (1 - rho) - gamma rho from
+    rho = 0."""
 
     def f(rho):
         return w_p * (1.0 - rho) - gamma * rho
 
     h = t_end / n_steps
-    rho = rho_e0
+    rho = 0.0
     for _ in range(n_steps):
         k1 = f(rho)
         k2 = f(rho + 0.5 * h * k1)
@@ -42,16 +42,15 @@ class TestExcitedPopulation:
         for _ in range(100):
             w_p = rng.uniform(0.01, 2.0)
             gamma = rng.uniform(0.01, 2.0)
-            rho0 = rng.uniform(0.0, 1.0)
             t = rng.uniform(0.1, 20.0)
-            p = EmitterParams(w_p=w_p, gamma=gamma, rho_e0=rho0)
+            p = EmitterParams(w_p=w_p, gamma=gamma)
             closed = excited_population(p, t)
-            numeric = rk4_population(w_p, gamma, rho0, t)
+            numeric = rk4_population(w_p, gamma, t)
             assert abs(closed - numeric) < 1e-6
 
     def test_initial_value_and_steady_state(self):
-        p = EmitterParams(w_p=0.5, gamma=0.25, rho_e0=0.3)
-        assert excited_population(p, 0.0) == pytest.approx(0.3, abs=1e-15)
+        p = EmitterParams(w_p=0.5, gamma=0.25)
+        assert excited_population(p, 0.0) == 0.0
         assert excited_population(p, 1e4) == pytest.approx(p.steady_state, abs=1e-12)
         assert p.steady_state == pytest.approx(0.5 / 0.75)
 
@@ -104,19 +103,17 @@ class TestG2Curves:
 
 class TestBackgroundMixing:
     def test_poisson_limit(self):
-        mix = BackgroundMix(rho=0.0)
-        assert g2_background_mixed(0.0, mix) == pytest.approx(1.0, abs=0)
+        assert g2_background_mixed(0.0, 0.0) == pytest.approx(1.0, abs=0)
 
     def test_pure_emitter_limit(self):
-        mix = BackgroundMix(rho=1.0)
-        assert g2_background_mixed(0.37, mix) == pytest.approx(0.37, abs=0)
+        assert g2_background_mixed(0.37, 1.0) == pytest.approx(0.37, abs=0)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             rho = rng.uniform(0.05, 1.0)
             g2 = rng.uniform(0.0, 1.5)
-            mixed = g2_background_mixed(g2, BackgroundMix(rho=rho))
+            mixed = g2_background_mixed(g2, rho)
             assert abs((mixed - 1.0 + rho**2) / rho**2 - g2) < 1e-12
 
 
@@ -172,8 +169,6 @@ class TestValidation:
             EmitterParams(w_p=0.1, gamma=-1.0)
         with pytest.raises(InvalidParameter):
             EmitterParams(w_p=0.1, g2_0=1.5)
-        with pytest.raises(InvalidParameter):
-            EmitterParams(w_p=0.1, rho_e0=-0.1)
 
     def test_pulse_params(self):
         with pytest.raises(InvalidParameter):
@@ -183,4 +178,4 @@ class TestValidation:
 
     def test_background_mix(self):
         with pytest.raises(InvalidParameter):
-            BackgroundMix(rho=1.2)
+            g2_background_mixed(0.5, 1.2)

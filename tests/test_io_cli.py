@@ -379,6 +379,19 @@ class TestCliSimulate:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dark_events_beyond_memory_exit_2(self, tmp_path, capsys):
+        """Few emissions but ~2e12 dark events: detection checks them against
+        physical memory before its draws (numpy used to fail with a traceback
+        allocating 7.28 TiB)."""
+        out = tmp_path / "out"
+        code = main(["simulate", "--wp", "1e-9", "--gamma", "1e-9",
+                     "--duration", "1e15", "--dark-rate", "1e-3", "--seed", "1",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_pulsed_requires_pulse_flags(self, tmp_path):
         code = main(["simulate", "--wp", "0.5", "--tau-o", "6",
                      "--duration", "1e5", "--seed", "1", "--out", str(tmp_path)])
@@ -392,7 +405,7 @@ class TestCliSimulate:
         seed=st.integers(0, 2**32), jitter=st.floats(0.0, 10.0))
     def test_sidecar_dict_round_trips(self, pulse, seed, jitter):
         """The sidecar schema is dataclasses.asdict of the SimConfig."""
-        cfg = SimConfig(emitter=EmitterParams(w_p=0.5, gamma=0.3, rho_e0=0.5),
+        cfg = SimConfig(emitter=EmitterParams(w_p=0.5, gamma=0.3),
                         duration=1e5, seed=seed, pulse=pulse, jitter_sigma=jitter)
         assert SimConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
@@ -591,6 +604,18 @@ def test_readme_flags_are_parser_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", ours))
     assert "--workers" in flags
     assert flags - set(_parser_options(build_parser())) == set()
+
+
+def test_readme_simulate_schema_is_the_config_fields():
+    """The names that the README's simulate bullet quotes before its first
+    full stop are exactly the fields of SimConfig, EmitterParams and
+    PulseParams."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = re.search(r"^- `simulate` \(required\) holds the `SimConfig` "
+                       r"fields:(.*?)\.\s", readme, flags=re.M | re.S).group(1)
+    quoted = set(re.findall(r"`(\w+)`", schema)) - {"null"}
+    assert quoted == {f.name for cls in (SimConfig, EmitterParams, PulseParams)
+                      for f in dataclasses.fields(cls)}
 
 
 class TestCliFit:
@@ -804,6 +829,8 @@ class TestCliPipeline:
         ({"emitter": {"w_p": True}, "duration": 1e5, "seed": 1}, "w_p"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
           "detection_efficiency": True}, "detection_efficiency"),
+        ({"emitter": {"w_p": 0.2, "rho_e0": 0.5}, "duration": 1e5, "seed": 1},
+         "rho_e0"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
@@ -834,13 +861,16 @@ class TestCliPipeline:
          {"fit": {"model": "pulsed", "tau_o": True}}, "fit.tau_o"),
     ], ids=["unknown-model", "window-without-side-peak", "nan-fit-halfwidth",
             "negative-fit-halfwidth", "bool-fit-tau_o"])
-    def test_config_errors_write_nothing(self, tmp_path, capsys, simulate,
-                                         config, word):
+    def test_config_errors_write_nothing(self, tmp_path, capsys, monkeypatch,
+                                         simulate, config, word):
+        simulated = []
+        monkeypatch.setattr("fiberphoton.cli.simulate_streams", simulated.append)
         simulate = {"emitter": {"w_p": 1.3, "gamma": 2.0}, "duration": 1e5,
                     "seed": 1, **simulate}
         assert self._pipeline(tmp_path, {"simulate": simulate, **config}) == 2
         assert word in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
+        assert simulated == []
 
     def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
         simulated = []

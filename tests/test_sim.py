@@ -35,11 +35,10 @@ from fiberphoton.sim import (
 def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
                                  duration: float,
                                  rng: np.random.Generator) -> np.ndarray:
-    """General event loop for pulsed pumping, exact for any gamma.
+    """General event loop for pulsed pumping from the ground state.
 
     Each pump wait inverts the periodic integrated hazard in closed form, so
-    idle stretches between pulses cost nothing; suitable when the emission
-    count is modest (slow gamma) where the fast path does not apply.
+    idle stretches between pulses cost nothing.
     """
     if p.gamma == 0:
         return np.empty(0)
@@ -48,25 +47,22 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
         return np.empty(0)
     out = []
     t = 0.0
-    excited = p.rho_e0 > 0 and rng.random() < p.rho_e0
     while t <= duration:
-        if not excited:
-            e = rng.exponential(1.0)
-            phase = t % pulse.period
-            h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
-            if e < h0:
-                t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse))
-                t = t - phase + t_exc
-            else:
-                e -= h0
-                skip = math.floor(e / h_full)
-                e -= skip * h_full
-                t = t - phase + (skip + 1) * pulse.period
-                t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse))
-            if t > duration:
-                break
+        e = rng.exponential(1.0)
+        phase = t % pulse.period
+        h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
+        if e < h0:
+            t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse))
+            t = t - phase + t_exc
+        else:
+            e -= h0
+            skip = math.floor(e / h_full)
+            e -= skip * h_full
+            t = t - phase + (skip + 1) * pulse.period
+            t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse))
+        if t > duration:
+            break
         t += rng.exponential(1.0 / p.gamma)
-        excited = False
         if t <= duration:
             out.append(t)
     return np.asarray(out)
@@ -141,15 +137,6 @@ class TestCwStatistics:
         cfg = cw_config(gamma=0.0, seed=3)
         assert simulate_emission(cfg).size == 0
 
-    def test_initial_excitation_emits_first(self):
-        # rho_e0 = 1 starts every run excited: the first emission is a plain
-        # Exp(gamma) decay from t = 0, with no Exp(w_p) pump wait before it
-        # (which would add 1/w_p = 20 ns to the mean).
-        firsts = [simulate_emission(SimConfig(
-            emitter=EmitterParams(w_p=0.05, gamma=2.0, rho_e0=1.0),
-            duration=50.0, seed=seed))[0] for seed in range(200)]
-        assert abs(np.mean(firsts) - 0.5) < 5.0 * 0.5 / np.sqrt(200)
-
     def test_antibunching_in_waiting_times(self):
         # Successive cw emissions are separated by at least an Exp(w_p) pump
         # wait, so short gaps are suppressed relative to Poisson.
@@ -207,19 +194,6 @@ class TestPulsedSamplers:
         b = _segment_counts(em, duration, edges)
         sigma = np.sqrt(a.shape[0] * (a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)))
         assert np.all(np.abs(a.sum(axis=0) - b.sum(axis=0)) < 5.0 * sigma)
-
-    def test_initial_excitation_emits_first(self):
-        # rho_e0 = 1 starts every run excited: the first emission follows a
-        # plain Exp(gamma) decay from t = 0, long before the weak pump acts.
-        firsts = []
-        for seed in range(200):
-            cfg = SimConfig(emitter=EmitterParams(w_p=1e-3, gamma=2.0, rho_e0=1.0),
-                            pulse=PulseParams(tau_o=6.0, period=100.0),
-                            duration=50.0, seed=seed)
-            em = simulate_emission(cfg)
-            assert em.size >= 1
-            firsts.append(em[0])
-        assert abs(np.mean(firsts) - 0.5) < 5.0 * 0.5 / np.sqrt(200)
 
     @pytest.mark.parametrize("handoff", [None, 0], ids=["default", "handoff0"])
     def test_last_partial_pulse_is_pumped(self, handoff, monkeypatch):
@@ -408,6 +382,18 @@ class TestMemory:
                         duration=1e20, seed=1, pulse=pulse)
         with pytest.raises(InvalidParameter, match="physical memory"):
             simulate_emission(cfg)
+
+    def test_dark_events_beyond_physical_memory_refused(self, monkeypatch):
+        # ~2e12 dark events for no emission: refused before any generator
+        # is made, so before any draw.
+        cfg = SimConfig(emitter=EmitterParams(w_p=1e-9, gamma=1e-9),
+                        duration=1e15, seed=1, dark_rate_per_channel=1e-3)
+        made = []
+        monkeypatch.setattr("fiberphoton.sim._rng_children",
+                            lambda *a: made.append(a))
+        with pytest.raises(InvalidParameter, match="physical memory"):
+            detect_hbt(np.empty(0), cfg)
+        assert made == []
 
 
 class TestSaturationSweep:
