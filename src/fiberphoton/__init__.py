@@ -13,7 +13,6 @@ Subpackages:
 from .emitter import (
     EmitterParams,
     PulseParams,
-    SaturationParams,
     excited_population,
     g2_background_mixed,
     g2_cw,

@@ -117,6 +117,15 @@ def cmd_correlate(args) -> int:
     if peak_opts and args.period is None:
         raise FiberPhotonError("--peak-halfwidth/--background-per-bin need --period")
     corr.check_n_chunks(args.workers)
+    # Every option fails before a stream is read.
+    edges = corr.make_edges(args.window, args.bin)
+    if args.period is not None:
+        check_number("period", args.period, 0, math.inf, "()")
+        halfwidth = peak_opts.get("peak_halfwidth", corr.DEFAULT_PEAK_HALFWIDTH)
+        check_number("peak_halfwidth", halfwidth, 0, args.period / 2.0)
+        check_number("background_per_bin", peak_opts.get("background_per_bin", 0.0),
+                     0, math.inf, "[)")
+        corr._side_peaks(edges, args.period, halfwidth)
     s1, s2 = _load_streams(args.streams)
     h = _correlate(s1, s2, args.window, args.bin, args.workers)
     peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)

@@ -5,7 +5,8 @@ Population dynamics of a pumped emitter that starts in its ground state
 steady-state second-order autocorrelation curves derived from it: the cw dip,
 the pulse envelope exp(-2|tau|/tau_o), its pump hazard and the pulsed dip,
 their background mix, and the pulse-integrated zero-delay value; plus the
-power-saturation law.  All rates are in 1/ns and all times in ns; a
+power-saturation law, whose A, P_sat and beta are plain numbers that
+fit.fit_saturation recovers from a measured table.  All rates are in 1/ns and all times in ns; a
 millisecond-scale radiative lifetime is simply gamma = 1e-6 /ns.
 
 Each curve is written here only.  The functions accept scalar or ndarray time
@@ -177,23 +178,6 @@ def pump_rate_from_integrated(g2_int: float, g2_0: float, tau_o: float) -> float
             f"g2_int ({g2_int}) must exceed g2_0 ({g2_0}) to invert"
         )
     return tau_o * (1.0 - g2_int) / (g2_int - g2_0)
-
-
-@dataclass(frozen=True)
-class SaturationParams:
-    """Saturation curve I(P) = A*P/(P+P_sat) + beta*P.
-
-    A in counts/s, P_sat in uW, beta in counts/s per uW.
-    """
-
-    A: float
-    P_sat: float
-    beta: float = 0.0
-
-    def __post_init__(self):
-        check_number("A", self.A, 0, math.inf, "()")
-        check_number("P_sat", self.P_sat, 0, math.inf, "()")
-        check_number("beta", self.beta, 0, math.inf, "[)")
 
 
 def saturation_model(power, A, P_sat, beta):

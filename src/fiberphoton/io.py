@@ -1,4 +1,6 @@
-"""File formats: stream, histogram, saturation and sweep CSV; JSON reports.
+"""File formats: stream, histogram and sweep CSV; JSON reports; and the
+saturation CSV (power_uW,intensity_cps), a table the user measures and that
+is only read.
 
 Every float is written as its shortest round-trip repr, so every table reads
 back bit for bit, and identical data produces byte-identical files.  A stream
@@ -332,10 +334,6 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
         flags=meta.get("flags", []),
         normalization=meta.get("normalization"),
     )
-
-
-def write_saturation_csv(path, data):
-    _write_table(path, SATURATION_HEADER, np.asarray(data, dtype=float).T)
 
 
 def _saturation_row(row):

@@ -26,9 +26,9 @@ sets its ~27 MB peak at criterion 6.  Detection never copies the caller's
 array and holds beyond it the two channel buffers and two one-byte masks per
 emission.  Long draws are made in chunks of _CHUNK, which consume each
 stream in the same order as one draw, so the bytes do not depend on the
-chunking.  An acquisition whose expected emissions, or detected events
-with dark and background, would not fit in physical memory is refused before
-that stage draws.
+chunking.  An acquisition whose expected emissions with dark and background
+events would not fit in physical memory is refused before any generator is
+made; detection checks the emissions it is given in the same way.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .emitter import (EmitterParams, PulseParams, SaturationParams,
-                      _pulse_hazard_remaining, _pulse_invert_hazard)
+from .emitter import (EmitterParams, PulseParams, _pulse_hazard_remaining,
+                      _pulse_invert_hazard)
 from .errors import InvalidParameter, check_number
 
 #: Emissions in a row that decay inside their own pulse before the pulsed
@@ -272,11 +272,13 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     described in the module docstring is exact for any gamma and pumps the
     last partial pulse.  Both start in the ground state at t = 0.
 
-    Raises InvalidParameter, before any draw, when 8 bytes per expected
-    emission exceed physical memory: duration / (1/w_p + 1/gamma) emissions
-    for cw, and one per unit of whole-pulse pump hazard plus one for pulsed.
+    Raises InvalidParameter, before any generator is made, when 8 bytes per
+    expected emission and per expected dark or background event of both
+    channels exceed physical memory, so that simulate_streams refuses the
+    whole acquisition before it draws.  The expected emissions are
+    duration / (1/w_p + 1/gamma) for cw, and one per unit of whole-pulse
+    pump hazard plus one for pulsed.
     """
-    rng = _rng_children(cfg.seed, 5)[0]
     p = cfg.emitter
     if p.gamma == 0:
         return np.empty(0)
@@ -287,7 +289,9 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
         if h_full <= 0:
             return np.empty(0)
         expected = math.ceil(cfg.duration / cfg.pulse.period) * h_full + 1
-    _check_memory(expected, "emissions")
+    _check_memory(expected + 2 * cfg.background_per_channel * cfg.duration,
+                  "emissions and dark and background events")
+    rng = _rng_children(cfg.seed, 5)[0]
     if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
     return _pulsed_emissions(p, cfg.pulse, h_full, cfg.duration, rng)
@@ -376,38 +380,3 @@ def detect_hbt(emissions: np.ndarray,
 def simulate_streams(cfg: SimConfig) -> tuple[TimestampStream, TimestampStream]:
     """Convenience: simulate emission and run the detection chain."""
     return detect_hbt(simulate_emission(cfg), cfg)
-
-
-def pump_for_intensity_curve(powers, cfg: SimConfig,
-                             sat: SaturationParams) -> list[tuple[float, float]]:
-    """Simulated fluorescence intensity (counts/s) versus excitation power (uW).
-
-    The pump rate is linear in power, w_p = gamma * P / P_sat, so the emitter
-    count rate follows emitter.saturation_model.  Each power runs a cw
-    acquisition (cfg's gamma and duration, seed cfg.seed + index, detection
-    efficiency derived from sat.A) and reports its detected count rate.
-    """
-    powers = np.asarray(powers, dtype=float)
-    if np.any(powers <= 0):
-        raise InvalidParameter("powers must be > 0")
-    gamma = cfg.emitter.gamma
-    eff = sat.A / (gamma * 1e9)
-    if not (0 < eff <= 1.0):
-        raise InvalidParameter(
-            f"sat.A={sat.A} and gamma={gamma}/ns imply detection efficiency "
-            f"{eff:.3g} outside (0, 1]"
-        )
-    out = []
-    for i, power in enumerate(powers):
-        w_p = gamma * power / sat.P_sat
-        run = SimConfig(
-            emitter=EmitterParams(w_p=w_p, gamma=gamma),
-            duration=cfg.duration,
-            seed=cfg.seed + i,
-            detection_efficiency=eff,
-            background_rate=sat.beta * power * 1e-9,
-        )
-        s1, s2 = simulate_streams(run)
-        rate_cps = (s1.times.size + s2.times.size) / run.duration * 1e9
-        out.append((float(power), float(rate_cps)))
-    return out

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fiberphoton import correlate as corr
 from fiberphoton import io as fio
 from fiberphoton.cli import build_parser, main
 from fiberphoton.correlate import CoincidenceHistogram, make_edges
@@ -329,9 +330,9 @@ class TestSaturationCsv:
     def test_round_trip(self, tmp_path):
         data = [(0.1, 300.0), (0.5, 900.0), (1.0, 1200.0), (2.0, 1400.0)]
         path = tmp_path / "sat.csv"
-        fio.write_saturation_csv(path, data)
-        back = fio.read_saturation_csv(path)
-        assert back == pytest.approx(data)
+        path.write_text("power_uW,intensity_cps\n"
+                        + "".join(f"{p!r},{i!r}\n" for p, i in data))
+        assert fio.read_saturation_csv(path) == data
 
     def test_malformed_reports_line(self, tmp_path):
         path = tmp_path / "sat.csv"
@@ -379,10 +380,13 @@ class TestCliSimulate:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dark_events_beyond_memory_exit_2(self, tmp_path, capsys):
-        """Few emissions but ~2e12 dark events: detection checks them against
-        physical memory before its draws (numpy used to fail with a traceback
-        allocating 7.28 TiB)."""
+    def test_dark_events_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        """Few emissions but ~2e12 dark events: they are checked against
+        physical memory before any generator is made (numpy used to fail with
+        a traceback allocating 7.28 TiB)."""
+        made = []
+        monkeypatch.setattr("fiberphoton.sim._rng_children",
+                            lambda *a: made.append(a))
         out = tmp_path / "out"
         code = main(["simulate", "--wp", "1e-9", "--gamma", "1e-9",
                      "--duration", "1e15", "--dark-rate", "1e-3", "--seed", "1",
@@ -391,6 +395,7 @@ class TestCliSimulate:
         assert code == 2
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
+        assert made == []
 
     def test_pulsed_requires_pulse_flags(self, tmp_path):
         code = main(["simulate", "--wp", "0.5", "--tau-o", "6",
@@ -461,16 +466,30 @@ class TestCliCorrelate:
         assert not (tmp_path / "histogram.csv").exists()
 
     @pytest.mark.parametrize("options, word", [
+        (["--window", "nan"], "window"),
+        (["--bin", "0"], "bin_width"),
+        (["--period", "nan"], "period"),
         (["--period", "100", "--peak-halfwidth", "60"], "peak_halfwidth"),
+        (["--period", "100", "--background-per-bin", "-1"], "background_per_bin"),
         (["--window", "100", "--period", "100"], "no side peak"),
-    ], ids=["halfwidth-beyond-half-period", "window-without-side-peak"])
-    def test_peaks_that_cannot_be_integrated_write_nothing(self, tmp_path, capsys,
-                                                          options, word):
+    ], ids=["window-nan", "bin-zero", "period-nan", "halfwidth-beyond-half-period",
+            "negative-background", "window-without-side-peak"])
+    def test_peaks_that_cannot_be_integrated_write_nothing(
+            self, tmp_path, capsys, monkeypatch, options, word):
+        """A bad histogram or peak option exits 2 before any stream is read or
+        correlated."""
         stream = self._simulate(tmp_path)
+        calls = []
+
+        def spy(real):
+            return lambda *a, **k: calls.append(a) or real(*a, **k)
+        monkeypatch.setattr(fio, "read_stream_csv", spy(fio.read_stream_csv))
+        monkeypatch.setattr(corr, "cross_correlate", spy(corr.cross_correlate))
         out = tmp_path / "out"
         assert main(["correlate", str(stream), *options, "--out", str(out)]) == 2
         assert word in capsys.readouterr().err
-        assert not any(out.glob("*"))
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("head, tail", [
         (b"channel,time_\xffns\r\n", b""),
@@ -622,9 +641,11 @@ class TestCliFit:
     def test_saturation_fit_and_unknown_model(self, tmp_path, capsys):
         from fiberphoton.fit import saturation_model
         powers = np.linspace(0.05, 3.0, 12)
-        data = list(zip(powers, saturation_model(powers, 1500.0, 0.54, 100.0)))
+        data = zip(powers.tolist(),
+                   saturation_model(powers, 1500.0, 0.54, 100.0).tolist())
         sat = tmp_path / "sat.csv"
-        fio.write_saturation_csv(sat, data)
+        sat.write_text("power_uW,intensity_cps\n"
+                       + "".join(f"{p!r},{i!r}\n" for p, i in data))
         code = main(["fit", str(sat), "--model", "saturation",
                      "--out", str(tmp_path)])
         assert code == 0

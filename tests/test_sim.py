@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fiberphoton.emitter import (
     EmitterParams,
     PulseParams,
-    SaturationParams,
     _pulse_hazard_remaining,
     _pulse_invert_hazard,
     saturation_model,
@@ -24,7 +23,6 @@ from fiberphoton.sim import (
     _apply_dead_time,
     _rng_children,
     detect_hbt,
-    pump_for_intensity_curve,
     simulate_emission,
     simulate_streams,
 )
@@ -384,8 +382,9 @@ class TestMemory:
             simulate_emission(cfg)
 
     def test_dark_events_beyond_physical_memory_refused(self, monkeypatch):
-        # ~2e12 dark events for no emission: refused before any generator
-        # is made, so before any draw.
+        # ~2e12 dark events: refused before any generator is made, so before
+        # any draw, both for given emissions and for the whole acquisition
+        # with its ~5e5 emissions.
         cfg = SimConfig(emitter=EmitterParams(w_p=1e-9, gamma=1e-9),
                         duration=1e15, seed=1, dark_rate_per_channel=1e-3)
         made = []
@@ -393,6 +392,8 @@ class TestMemory:
                             lambda *a: made.append(a))
         with pytest.raises(InvalidParameter, match="physical memory"):
             detect_hbt(np.empty(0), cfg)
+        with pytest.raises(InvalidParameter, match="physical memory"):
+            simulate_streams(cfg)
         assert made == []
 
 
@@ -402,23 +403,17 @@ class TestSaturationSweep:
         assert intensity == pytest.approx(1500.0 / 2.0 + 100.0 * 0.54)
 
     def test_simulated_tracks_closed_form(self):
-        gamma = 1e-4
-        sat = SaturationParams(A=0.5 * gamma * 1e9, P_sat=0.54, beta=0.0)
-        cfg = cw_config(w_p=1e-4, gamma=gamma, duration=5e7, seed=30)
+        """Pumped at w_p = gamma * P / P_sat, the detected count rate follows
+        the saturation law of plateau A = efficiency * gamma (in counts/s)."""
+        gamma, A, P_sat = 1e-4, 0.5e5, 0.54
         powers = [0.2, 0.54, 2.0]
-        sim = pump_for_intensity_curve(powers, cfg, sat)
-        closed = saturation_model(powers, sat.A, sat.P_sat, sat.beta)
-        for (p, i_sim), i_cl in zip(sim, closed):
-            assert i_sim == pytest.approx(i_cl, rel=0.1)
-
-    def test_invalid_inputs(self):
-        sat = SaturationParams(A=1000.0, P_sat=0.5)
-        cfg = cw_config(gamma=1e-4)
-        with pytest.raises(InvalidParameter):
-            pump_for_intensity_curve([0.0], cfg, sat)
-        # A = 1000 cps at gamma 1e-7/ns needs a detection efficiency of 10.
-        with pytest.raises(InvalidParameter):
-            pump_for_intensity_curve([1.0], cw_config(gamma=1e-7), sat)
+        for i, power in enumerate(powers):
+            s1, s2 = simulate_streams(cw_config(
+                w_p=gamma * power / P_sat, gamma=gamma, duration=5e7,
+                seed=30 + i, detection_efficiency=A / (gamma * 1e9)))
+            rate_cps = (s1.times.size + s2.times.size) / 5e7 * 1e9
+            assert rate_cps == pytest.approx(
+                saturation_model(power, A, P_sat, 0.0), rel=0.1)
 
 
 class TestConfigValidation:
