@@ -29,7 +29,7 @@ SEED = 12
 def main():
     emitter = EmitterParams(w_p=W_P, gamma=GAMMA)
     cfg = SimConfig(emitter=emitter, duration=DURATION, seed=SEED,
-                    detection_efficiency=0.8, dark_rate_per_channel=1e-5)
+                    detection_efficiency=0.8, background_rate=2e-5)
     print(f"simulating {DURATION:.0e} ns of cw emission "
           f"(w_p={W_P}/ns, gamma={GAMMA}/ns) ...")
     s1, s2 = simulate_streams(cfg)

@@ -61,7 +61,6 @@ def _build_sim_config(args) -> SimConfig:
         "duration": args.duration,
         "seed": args.seed,
         "detection_efficiency": args.efficiency,
-        "dark_rate_per_channel": args.dark_rate,
         "background_rate": args.background_rate,
         "jitter_sigma": args.jitter,
     })
@@ -120,12 +119,9 @@ def cmd_correlate(args) -> int:
     # Every option fails before a stream is read.
     edges = corr.make_edges(args.window, args.bin)
     if args.period is not None:
-        check_number("period", args.period, 0, math.inf, "()")
-        halfwidth = peak_opts.get("peak_halfwidth", corr.DEFAULT_PEAK_HALFWIDTH)
-        check_number("peak_halfwidth", halfwidth, 0, args.period / 2.0)
-        check_number("background_per_bin", peak_opts.get("background_per_bin", 0.0),
-                     0, math.inf, "[)")
-        corr._side_peaks(edges, args.period, halfwidth)
+        corr.check_peaks(edges, args.period,
+                         peak_opts.get("peak_halfwidth", corr.DEFAULT_PEAK_HALFWIDTH),
+                         peak_opts.get("background_per_bin", 0.0))
     s1, s2 = _load_streams(args.streams)
     h = _correlate(s1, s2, args.window, args.bin, args.workers)
     peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)
@@ -233,7 +229,7 @@ def cmd_pipeline(args) -> int:
     # A bad window, or a pulsed one with no side peak, fails before simulating.
     edges = corr.make_edges(window, bin_width)
     if model == "pulsed":
-        corr._side_peaks(edges, cfg.pulse.period, cfg.pulse.period / 2.0)
+        corr.check_peaks(edges, cfg.pulse.period, cfg.pulse.period / 2.0)
 
     streams = simulate_streams(cfg)
     h = _correlate(*streams, window, bin_width, args.workers,
@@ -264,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-o", type=float, dest="tau_o", help="pulse width (ns)")
     p.add_argument("--period", type=float, help="pulse period (ns)")
     p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--dark-rate", type=float, default=0.0,
-                   help="dark events/ns per channel")
     p.add_argument("--background-rate", type=float, default=0.0,
-                   help="total background events/ns")
+                   help="total uncorrelated events/ns, detector dark counts "
+                        "included, split evenly between the channels")
     p.add_argument("--jitter", type=float, default=0.0, help="jitter sigma (ns)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="stream")

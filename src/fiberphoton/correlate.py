@@ -157,6 +157,28 @@ def check_n_chunks(n_chunks: Optional[int]):
         check_number("n_chunks", n_chunks, 1, math.inf, "[)")
 
 
+def check_peaks(edges: np.ndarray, period: float, peak_halfwidth: float,
+                background_per_bin: float = 0.0) -> list[tuple[int, np.ndarray]]:
+    """(k, bin mask) in ascending k of each side peak k*period +- peak_halfwidth,
+    k != 0, that lies whole inside the bin edges; a bin belongs to a peak when
+    its centre does.  Raises InvalidParameter for a number outside its
+    interval and InsufficientPeaks for no such peak, so it checks a pulse
+    window before any histogram is built.
+    """
+    check_number("period", period, 0, math.inf, "()")
+    check_number("peak_halfwidth", peak_halfwidth, 0, period / 2.0)
+    check_number("background_per_bin", background_per_bin, 0, math.inf, "[)")
+    # 1e-9 periods of slack keeps a peak that ends on the outer edge.
+    k_lo = int(np.ceil((edges[0] + peak_halfwidth) / period - 1e-9))
+    k_hi = int(np.floor((edges[-1] - peak_halfwidth) / period + 1e-9))
+    ks = [k for k in range(k_lo, k_hi + 1) if k != 0]
+    if not ks:
+        raise InsufficientPeaks(f"no side peak k*{period:g} +- {peak_halfwidth:g} "
+                                f"ns lies whole inside the bin edges")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return [(k, np.abs(centers - k * period) <= peak_halfwidth) for k in ks]
+
+
 def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                     bin_width: float = DEFAULT_BIN_WIDTH,
                     n_chunks: Optional[int] = None) -> CoincidenceHistogram:
@@ -200,24 +222,6 @@ def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
                                 flags=["empty-input"] if empty else [])
 
 
-def _side_peaks(edges: np.ndarray, period: float,
-                halfwidth: float) -> list[tuple[int, np.ndarray]]:
-    """(k, bin mask) in ascending k of each side peak k*period +- halfwidth,
-    k != 0, that lies whole inside the bin edges; a bin belongs to a peak when
-    its centre does.  Raises InsufficientPeaks when there is none, so it can
-    check a window before any histogram is built.
-    """
-    # 1e-9 periods of slack keeps a peak that ends on the outer edge.
-    k_lo = int(np.ceil((edges[0] + halfwidth) / period - 1e-9))
-    k_hi = int(np.floor((edges[-1] - halfwidth) / period + 1e-9))
-    ks = [k for k in range(k_lo, k_hi + 1) if k != 0]
-    if not ks:
-        raise InsufficientPeaks(f"no side peak k*{period:g} +- {halfwidth:g} ns "
-                                f"lies whole inside the bin edges")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return [(k, np.abs(centers - k * period) <= halfwidth) for k in ks]
-
-
 def normalize_cw(h: CoincidenceHistogram, rate1: float,
                  rate2: float) -> CoincidenceHistogram:
     """Normalize by the uncorrelated expectation rate1*rate2*bin_width*duration.
@@ -255,10 +259,12 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     from the side peaks (which carry no antibunching) by projecting their
     excess onto the model envelope e(tau) = pulse_envelope(tau, tau_o) in each side
     peak k*period +- period/2 that the bin edges hold whole; rho comes from
-    the supplied per-channel singles rates of signal and background.  Rates
-    must be finite numbers and background rates >= 0 (else InvalidParameter);
-    a signal rate <= 0 raises DegenerateInput.
+    the supplied per-channel singles rates of signal and background.  Numbers
+    must be finite, period and tau_o > 0 and background rates >= 0 (else
+    InvalidParameter); a signal rate <= 0 raises DegenerateInput.
     """
+    check_number("tau_o", tau_o, 0, math.inf, "()")
+    peaks = check_peaks(h.bin_edges, period, period / 2.0)
     r1, r2 = signal_rates
     b1, b2 = background_rates
     for rate in signal_rates:
@@ -273,7 +279,7 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     centers = h.centers
     excess = h.counts - floor
     heights = []
-    for k, sel in _side_peaks(h.bin_edges, period, period / 2.0):
+    for k, sel in peaks:
         env = pulse_envelope(centers[sel] - k * period, tau_o)
         heights.append(float(np.dot(excess[sel], env) / np.dot(env, env)))
     peak_scale = float(np.mean(heights))
@@ -312,11 +318,8 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
     that the bin edges hold whole, subtracts the expected uncorrelated
     background per peak, and returns the zero-peak to mean-side-peak ratio.
     """
-    check_number("period", period, 0, math.inf, "()")
-    check_number("peak_halfwidth", peak_halfwidth, 0, period / 2.0)
-    check_number("background_per_bin", background_per_bin, 0, math.inf, "[)")
-    side_sums = [int(h.counts[sel].sum())
-                 for _, sel in _side_peaks(h.bin_edges, period, peak_halfwidth)]
+    side_sums = [int(h.counts[sel].sum()) for _, sel in check_peaks(
+        h.bin_edges, period, peak_halfwidth, background_per_bin)]
     zero = np.abs(h.centers) <= peak_halfwidth
     zero_sum = int(h.counts[zero].sum())
     bg_per_peak = background_per_bin * int(np.count_nonzero(zero))

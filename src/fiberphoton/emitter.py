@@ -105,20 +105,19 @@ def pulse_envelope(tau, tau_o: float):
     return np.exp(-2.0 * np.abs(tau) / tau_o)
 
 
-# The pulsed sampler's pump hazard, of rate w0 * exp(-2 s/tau_o) at in-pulse
-# time s >= 0.  The streams' bytes rest on np.exp of s and math.exp of the
-# period term, which can differ from np.exp in the last bit: keep both.
-def _pulse_hazard_remaining(s, w0, pulse: PulseParams):
-    """Integrated pump hazard from in-pulse time s to the end of the period."""
+# The pulsed sampler's pump hazard, of rate w0 * u at in-pulse time s >= 0,
+# where u = pulse_envelope(s, tau_o) is the value that the sampler carries.
+# The streams' bytes rest on np.exp for u and math.exp of the period term,
+# which can differ from np.exp in the last bit: keep both.
+def _pulse_hazard_remaining(u, w0, pulse: PulseParams):
+    """Integrated pump hazard from envelope value u to the end of the period."""
     return (w0 * pulse.tau_o / 2.0) * (
-        np.exp(-2.0 * s / pulse.tau_o) - math.exp(-2.0 * pulse.period / pulse.tau_o)
-    )
+        u - math.exp(-2.0 * pulse.period / pulse.tau_o))
 
 
-def _pulse_invert_hazard(s, e, w0, pulse: PulseParams):
-    """In-pulse excitation time given elapsed hazard e from time s."""
-    arg = np.exp(-2.0 * s / pulse.tau_o) - 2.0 * e / (w0 * pulse.tau_o)
-    return -(pulse.tau_o / 2.0) * np.log(arg)
+def _pulse_invert_hazard(u, e, w0, pulse: PulseParams):
+    """In-pulse excitation time given elapsed hazard e from envelope value u."""
+    return -(pulse.tau_o / 2.0) * np.log(u - 2.0 * e / (w0 * pulse.tau_o))
 
 
 def g2_pulsed(p: EmitterParams, pulse: PulseParams, tau):

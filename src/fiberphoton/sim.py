@@ -4,7 +4,7 @@ Event-driven simulation of the pumped three-level emitter (ground state
 pumped at w_p, radiative state decaying at gamma), under cw or pulsed
 excitation, followed by a beam-splitter detection chain: per-photon detection
 efficiency, 50/50 channel routing, Gaussian timing jitter, and independent
-Poisson dark and background events per channel.
+Poisson background events per channel, detector dark counts included.
 
 Pulsed emission has one sampler, exact for any gamma.  A pulse boundary
 crossed in the ground state is a regeneration point (Lewis & Shedler, Naval
@@ -27,9 +27,9 @@ never copies the caller's array and holds beyond it the two channel buffers
 and two one-byte masks per emission.  Long draws are made in chunks of
 _CHUNK, which consume each stream in the same order as one draw, so the
 bytes do not depend on the chunking.  An acquisition whose expected
-emissions with dark and background events would not fit in physical memory
-is refused before any generator is made; detection checks the emissions it
-is given in the same way.
+emissions and background events would not fit in physical memory is refused
+before any generator is made; detection checks the emissions it is given in
+the same way.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .emitter import (EmitterParams, PulseParams, _pulse_hazard_remaining,
-                      _pulse_invert_hazard)
+                      _pulse_invert_hazard, pulse_envelope)
 from .errors import InvalidParameter, check_number
 
 #: Most pulsed segments run side by side in one block.
@@ -60,7 +60,8 @@ class SimConfig:
     pulse=None means cw pumping, else the pump follows the pulse train.
     Rates are events/ns; duration in ns; every number must be a real number,
     not a bool, inside its interval (the seed an integer >= 0).
-    dead_time reserves a per-channel detector dead time (default 0: off).
+    background_rate (all uncorrelated events, dark counts included) is split
+    evenly between the channels; dead_time is per channel (default 0: off).
     """
 
     emitter: EmitterParams
@@ -68,7 +69,6 @@ class SimConfig:
     seed: int
     pulse: Optional[PulseParams] = None
     detection_efficiency: float = 1.0
-    dark_rate_per_channel: float = 0.0
     background_rate: float = 0.0
     jitter_sigma: float = 0.0
     dead_time: float = 0.0
@@ -80,8 +80,7 @@ class SimConfig:
             raise InvalidParameter(
                 f"seed must be an integer >= 0, got {self.seed!r}")
         check_number("detection_efficiency", self.detection_efficiency, 0, 1)
-        for name in ("dark_rate_per_channel", "background_rate",
-                     "jitter_sigma", "dead_time"):
+        for name in ("background_rate", "jitter_sigma", "dead_time"):
             check_number(name, getattr(self, name), 0, math.inf, "[)")
         if self.emitter.g2_0 != 0:
             raise InvalidParameter(
@@ -90,8 +89,8 @@ class SimConfig:
 
     @property
     def background_per_channel(self) -> float:
-        """Dark plus half the shared background rate, events/ns per channel."""
-        return self.dark_rate_per_channel + self.background_rate / 2.0
+        """Half the total background rate, events/ns per channel."""
+        return self.background_rate / 2.0
 
     @classmethod
     def from_dict(cls, d: dict) -> SimConfig:
@@ -202,10 +201,11 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
     Each segment of a block starts in the ground state at its own pulse
     boundary, so the first pass compares its draws with h_full and keeps no
     state for the pulses it leaves idle.  Later passes carry the segments
-    still running as aligned arrays of index, draw and phase.  A decay at or
-    past its pulse's end moves its segment on by k = t // period whole
-    pulses, at phase t - k period; a segment ends when its draw finds no
-    excitation in the rest of its pulse.  Emissions are written at
+    still running as aligned arrays of index, draw and envelope value
+    u = pulse_envelope(phase, tau_o), one exp per phase.  A decay at or past
+    its pulse's end moves its segment on by k = t // period whole pulses, at
+    phase t - k period; a segment ends when its draw finds no excitation in
+    the rest of its pulse.  Emissions are written at
     (first + index + k) period + t, and once the block is done those of each
     segment move on by the cumsum of the pulses its earlier segments moved
     on, as does the next block.  Each block is sorted in place.  A full
@@ -222,10 +222,10 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
         start, owners, moved, pulses, k = n, [], [], [], 0.0
         e = rng.exponential(1.0, nb)
         idx = np.flatnonzero(e < h_full)
-        e, s = e[idx], 0.0
+        e, u = e[idx], 1.0
         while idx.size:
-            t_em = _pulse_invert_hazard(s, e, p.w_p, pulse)
-            del e, s
+            t_em = _pulse_invert_hazard(u, e, p.w_p, pulse)
+            del e, u
             t_em += rng.exponential(1.0 / p.gamma, idx.size)
             buf = _room(buf, n, idx.size, ahead)
             row = buf[n:n + idx.size]
@@ -243,13 +243,15 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
                 k = k + spill
                 del spill
             e = rng.exponential(1.0, idx.size)
-            excited = e < _pulse_hazard_remaining(t_em, p.w_p, pulse)
+            u = pulse_envelope(t_em, pulse.tau_o)
+            del t_em
+            excited = e < _pulse_hazard_remaining(u, p.w_p, pulse)
             idx = idx[excited]
             e = e[excited]
-            s = t_em[excited]
+            u = u[excited]
             if moved:
                 k = k[excited]
-            del t_em, excited
+            del excited
         shift = 0
         if moved:
             moved, pulses = np.concatenate(moved), np.concatenate(pulses)
@@ -285,13 +287,13 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     last partial pulse.  Both start in the ground state at t = 0.
 
     Raises InvalidParameter, before any generator is made, when 8 bytes per
-    expected emission and per expected dark or background event of both
-    channels exceed physical memory, so that simulate_streams refuses the
-    whole acquisition before it draws.  The expected emissions are
-    duration / (1/w_p + 1/gamma) for cw.  For pulsed they are
-    min(ceil(duration / period) * h_full, gamma * duration) + 1, with h_full
-    the pump hazard of one whole pulse: an emission needs an excitation,
-    and its Exp(gamma) decay does not overlap the others.
+    expected emission and per expected background event exceed physical
+    memory, so that simulate_streams refuses the whole acquisition before it
+    draws.  The expected emissions are duration / (1/w_p + 1/gamma) for cw.
+    For pulsed they are min(ceil(duration / period) * h_full,
+    gamma * duration) + 1, with h_full the pump hazard of one whole pulse:
+    an emission needs an excitation, and its Exp(gamma) decay does not
+    overlap the others.
     """
     p = cfg.emitter
     if p.gamma == 0:
@@ -299,13 +301,13 @@ def simulate_emission(cfg: SimConfig) -> np.ndarray:
     if cfg.pulse is None:
         expected = cfg.duration / (1.0 / p.w_p + 1.0 / p.gamma)
     else:
-        h_full = float(_pulse_hazard_remaining(0.0, p.w_p, cfg.pulse))
+        h_full = float(_pulse_hazard_remaining(1.0, p.w_p, cfg.pulse))
         if h_full <= 0:
             return np.empty(0)
         expected = min(math.ceil(cfg.duration / cfg.pulse.period) * h_full,
                        p.gamma * cfg.duration) + 1
-    _check_memory(expected + 2 * cfg.background_per_channel * cfg.duration,
-                  "emissions and dark and background events")
+    _check_memory(expected + cfg.background_rate * cfg.duration,
+                  "emissions and background events")
     rng = _rng_children(cfg.seed, 5)[0]
     if cfg.pulse is None:
         return _cw_emissions(p, cfg.duration, rng)
@@ -338,7 +340,7 @@ def detect_hbt(emissions: np.ndarray,
 
     Each emission is kept with probability detection_efficiency, routed 50/50
     to channel 1 or 2, smeared with Gaussian jitter, and merged with Poisson
-    dark and background events of the configured per-channel rates.  Events
+    background events at background_per_channel in each channel.  Events
     (jittered or given) outside [0, duration] are dropped.  Exact ties are
     broken by moving each later copy up one ulp, so of a tie at duration
     only the first copy stays.
@@ -347,13 +349,13 @@ def detect_hbt(emissions: np.ndarray,
     it, the peak is one buffer per channel, filled chunk by chunk and sorted
     in place (the streams before dead time), and two masks of one byte per
     emission: 1.3 times the two streams at criterion 5.  When 8 bytes per
-    emission and per expected dark or background event exceed physical
-    memory, it raises InvalidParameter before any draw.
+    emission and per expected background event exceed physical memory, it
+    raises InvalidParameter before any draw.
     """
     emissions = np.asarray(emissions, dtype=float)
     if np.any(emissions[1:] < emissions[:-1]):
         raise InvalidParameter("emissions must be sorted ascending")
-    _check_memory(emissions.size + 2 * cfg.background_per_channel * cfg.duration,
+    _check_memory(emissions.size + cfg.background_rate * cfg.duration,
                   "detected events")
     _, det_rng, ch1_rng, ch2_rng, jit_rng = _rng_children(cfg.seed, 5)
 

@@ -302,6 +302,20 @@ class TestNormalization:
         with pytest.raises(InvalidParameter, match="rate"):
             normalize(h, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, word", [
+        (dict(period=np.nan, tau_o=6.0), "period"),
+        (dict(period=0.0, tau_o=6.0), "period"),
+        (dict(period=100.0, tau_o=0.0), "tau_o"),
+        (dict(period=100.0, tau_o=np.nan), "tau_o"),
+    ], ids=["period-nan", "period-zero", "tau_o-zero", "tau_o-nan"])
+    def test_pulse_must_be_positive_numbers(self, kwargs, word):
+        """A NaN period used to raise a bare ValueError and a zero one an
+        OverflowError; a zero or NaN tau_o gave an all-NaN norm."""
+        h = CoincidenceHistogram(make_edges(450.0, 1.0), np.ones(900, int), 1e6)
+        with pytest.raises(InvalidParameter, match=word):
+            normalize_pulsed(h, signal_rates=(1e-3, 1e-3),
+                             background_rates=(1e-4, 1e-4), **kwargs)
+
     def test_zero_counts_low_statistics_flag(self):
         h = CoincidenceHistogram(make_edges(5.0, 1.0), np.zeros(10, int), 1.0)
         hn = normalize_cw(h, 1e-3, 1e-3)

@@ -381,16 +381,16 @@ class TestCliSimulate:
         assert not out.exists()
 
     def test_dark_events_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch):
-        """Few emissions but ~2e12 dark events: they are checked against
-        physical memory before any generator is made (numpy used to fail with
-        a traceback allocating 7.28 TiB)."""
+        """Few emissions but ~2e12 background (dark-count) events: they are
+        checked against physical memory before any generator is made (numpy
+        used to fail with a traceback allocating 7.28 TiB)."""
         made = []
         monkeypatch.setattr("fiberphoton.sim._rng_children",
                             lambda *a: made.append(a))
         out = tmp_path / "out"
         code = main(["simulate", "--wp", "1e-9", "--gamma", "1e-9",
-                     "--duration", "1e15", "--dark-rate", "1e-3", "--seed", "1",
-                     "--out", str(out)])
+                     "--duration", "1e15", "--background-rate", "2e-3",
+                     "--seed", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert "physical memory" in err and "Traceback" not in err
@@ -569,7 +569,7 @@ class TestCliCorrelate:
 
 
 @pytest.mark.parametrize("command, flags, word", [
-    ("simulate", ["--dark-rate", "nan"], "dark_rate_per_channel"),
+    ("simulate", ["--background-rate", "nan"], "background_rate"),
     ("simulate", ["--jitter", "nan"], "jitter_sigma"),
     ("simulate", ["--background-rate", "inf"], "background_rate"),
     ("simulate", ["--wp", "inf"], "w_p"),
@@ -852,6 +852,8 @@ class TestCliPipeline:
           "detection_efficiency": True}, "detection_efficiency"),
         ({"emitter": {"w_p": 0.2, "rho_e0": 0.5}, "duration": 1e5, "seed": 1},
          "rho_e0"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "dark_rate_per_channel": 1e-4}, "dark_rate_per_channel"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2
@@ -955,8 +957,8 @@ class TestCliPipeline:
     def test_simulate_sidecar_is_a_pipeline_section(self, tmp_path):
         assert main(["simulate", "--wp", "0.5", "--gamma", "0.3",
                      "--tau-o", "6", "--period", "100", "--duration", "1e5",
-                     "--seed", "4", "--dark-rate", "1e-4", "--jitter", "0.3",
-                     "--out", str(tmp_path / "sim")]) == 0
+                     "--seed", "4", "--background-rate", "2e-4",
+                     "--jitter", "0.3", "--out", str(tmp_path / "sim")]) == 0
         section = json.loads((tmp_path / "sim" / "stream.config.json").read_text())
         assert self._pipeline(tmp_path, {"simulate": section}) == 0
         assert ((tmp_path / "out" / "stream.csv").read_bytes()

@@ -14,6 +14,7 @@ from fiberphoton.emitter import (
     PulseParams,
     _pulse_hazard_remaining,
     _pulse_invert_hazard,
+    pulse_envelope,
     saturation_model,
 )
 from fiberphoton import sim
@@ -40,7 +41,7 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
     """
     if p.gamma == 0:
         return np.empty(0)
-    h_full = float(_pulse_hazard_remaining(0.0, p.w_p, pulse))
+    h_full = float(_pulse_hazard_remaining(1.0, p.w_p, pulse))
     if h_full <= 0:
         return np.empty(0)
     out = []
@@ -48,16 +49,17 @@ def _pulsed_emissions_sequential(p: EmitterParams, pulse: PulseParams,
     while t <= duration:
         e = rng.exponential(1.0)
         phase = t % pulse.period
-        h0 = float(_pulse_hazard_remaining(phase, p.w_p, pulse))
+        u = pulse_envelope(phase, pulse.tau_o)
+        h0 = float(_pulse_hazard_remaining(u, p.w_p, pulse))
         if e < h0:
-            t_exc = float(_pulse_invert_hazard(phase, e, p.w_p, pulse))
+            t_exc = float(_pulse_invert_hazard(u, e, p.w_p, pulse))
             t = t - phase + t_exc
         else:
             e -= h0
             skip = math.floor(e / h_full)
             e -= skip * h_full
             t = t - phase + (skip + 1) * pulse.period
-            t += float(_pulse_invert_hazard(0.0, e, p.w_p, pulse))
+            t += float(_pulse_invert_hazard(1.0, e, p.w_p, pulse))
         if t > duration:
             break
         t += rng.exponential(1.0 / p.gamma)
@@ -291,19 +293,14 @@ class TestDetectionChain:
         kept = s1.times.size + s2.times.size
         assert abs(kept - 0.3 * em.size) < 5.0 * np.sqrt(0.3 * 0.7 * em.size)
 
-    def test_dark_counts_poisson_mean(self):
+    def test_background_split_between_channels(self):
+        """Each channel holds a Poisson number of background events of mean
+        background_rate / 2 * duration = 1000."""
         cfg = cw_config(w_p=1e-9, gamma=1e-9, duration=1e6, seed=24,
-                        dark_rate_per_channel=1e-3)
+                        background_rate=2e-3)
         s1, s2 = detect_hbt(np.empty(0), cfg)
         for s in (s1, s2):
             assert abs(s.times.size - 1000.0) < 5.0 * np.sqrt(1000.0)
-
-    def test_background_split_between_channels(self):
-        cfg = cw_config(w_p=1e-9, gamma=1e-9, duration=1e6, seed=25,
-                        background_rate=2e-3)
-        s1, s2 = detect_hbt(np.empty(0), cfg)
-        total = s1.times.size + s2.times.size
-        assert abs(total - 2000.0) < 5.0 * np.sqrt(2000.0)
 
     def test_jitter_keeps_times_in_range_and_sorted(self):
         cfg = cw_config(duration=1e5, seed=26, jitter_sigma=0.3)
@@ -353,19 +350,18 @@ class TestDetectionChain:
            duration=st.sampled_from([100.0, 200.0]),
            efficiency=st.one_of(st.just(1.0), st.floats(0.05, 0.95)),
            jitter=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
-           dark=st.sampled_from([0.0, 0.05]),
-           background=st.sampled_from([0.0, 0.3]),
+           background=st.sampled_from([0.0, 0.1, 0.3]),
            dead_time=st.sampled_from([0.0, 2.0]),
            seed=st.integers(0, 2**32),
            chunk=st.sampled_from([1, 7, sim._CHUNK]))
     @example(emissions=[-1.0, 5.0, 50.0, 150.0], duration=100.0, efficiency=1.0,
-             jitter=0.0, dark=0.0, background=0.0, dead_time=0.0, seed=0,
+             jitter=0.0, background=0.0, dead_time=0.0, seed=0,
              chunk=sim._CHUNK)
     @example(emissions=[0.0] * 8 + [100.0, 100.0], duration=100.0, efficiency=1.0,
-             jitter=0.0, dark=0.0, background=0.0, dead_time=0.0, seed=1,
+             jitter=0.0, background=0.0, dead_time=0.0, seed=1,
              chunk=1)
     def test_same_bytes_as_whole_array_reference(
-            self, emissions, duration, efficiency, jitter, dark, background,
+            self, emissions, duration, efficiency, jitter, background,
             dead_time, seed, chunk):
         """Both streams equal the reference's byte for byte, for any chunk
         size.  Integer times make exact ties; "+ 0.0" drops -0.0, whose
@@ -375,8 +371,7 @@ class TestDetectionChain:
         em = np.sort(np.array(emissions, dtype=float) + 0.0)
         cfg = cw_config(duration=duration, seed=seed,
                         detection_efficiency=efficiency, jitter_sigma=jitter,
-                        dark_rate_per_channel=dark, background_rate=background,
-                        dead_time=dead_time)
+                        background_rate=background, dead_time=dead_time)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_CHUNK", chunk)
             streams = detect_hbt(em, cfg)
@@ -444,11 +439,11 @@ class TestMemory:
         assert np.all(em[1:] > em[:-1]) and em[-1] <= 1e11
 
     def test_dark_events_beyond_physical_memory_refused(self, monkeypatch):
-        # ~2e12 dark events: refused before any generator is made, so before
-        # any draw, both for given emissions and for the whole acquisition
-        # with its ~5e5 emissions.
+        # ~2e12 background (dark-count) events: refused before any generator
+        # is made, so before any draw, both for given emissions and for the
+        # whole acquisition with its ~5e5 emissions.
         cfg = SimConfig(emitter=EmitterParams(w_p=1e-9, gamma=1e-9),
-                        duration=1e15, seed=1, dark_rate_per_channel=1e-3)
+                        duration=1e15, seed=1, background_rate=2e-3)
         made = []
         monkeypatch.setattr("fiberphoton.sim._rng_children",
                             lambda *a: made.append(a))
@@ -485,7 +480,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             cw_config(detection_efficiency=1.5)
         with pytest.raises(InvalidParameter):
-            cw_config(dark_rate_per_channel=-1.0)
+            cw_config(background_rate=-1.0)
         with pytest.raises(InvalidParameter, match="shape"):
             SimConfig.from_dict({"emitter": {"w_p": 0.01}, "duration": 1e6,
                                  "seed": 3, "pulse": {"tau_o": 6.0, "period": 100.0,
@@ -501,5 +496,5 @@ class TestConfigValidation:
                                  "duration": 1e6, "seed": 3})
 
     def test_background_per_channel(self):
-        cfg = cw_config(dark_rate_per_channel=0.25, background_rate=1.5)
-        assert cfg.background_per_channel == 1.0
+        cfg = cw_config(background_rate=1.5)
+        assert cfg.background_per_channel == 0.75
