@@ -293,14 +293,21 @@ class TestDetectionChain:
         kept = s1.times.size + s2.times.size
         assert abs(kept - 0.3 * em.size) < 5.0 * np.sqrt(0.3 * 0.7 * em.size)
 
-    def test_background_split_between_channels(self):
-        """Each channel holds a Poisson number of background events of mean
-        background_rate / 2 * duration = 1000."""
+    def test_dark_counts_poisson_mean(self):
+        """Dark counts of 1e-3/ns per channel enter as background_rate 2e-3:
+        each channel holds a Poisson number of events of mean 1000."""
         cfg = cw_config(w_p=1e-9, gamma=1e-9, duration=1e6, seed=24,
                         background_rate=2e-3)
         s1, s2 = detect_hbt(np.empty(0), cfg)
         for s in (s1, s2):
             assert abs(s.times.size - 1000.0) < 5.0 * np.sqrt(1000.0)
+
+    def test_background_split_between_channels(self):
+        cfg = cw_config(w_p=1e-9, gamma=1e-9, duration=1e6, seed=25,
+                        background_rate=2e-3)
+        s1, s2 = detect_hbt(np.empty(0), cfg)
+        total = s1.times.size + s2.times.size
+        assert abs(total - 2000.0) < 5.0 * np.sqrt(2000.0)
 
     def test_jitter_keeps_times_in_range_and_sorted(self):
         cfg = cw_config(duration=1e5, seed=26, jitter_sigma=0.3)
