@@ -226,7 +226,7 @@ def cmd_pipeline(args) -> int:
             f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
     window = cor_cfg.get("window", corr.DEFAULT_CW_WINDOW)
     bin_width = cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH)
-    # A bad window, or a pulsed one with no side peak, fails before simulating.
+    # A bad window, or a pulsed one check_peaks refuses, fails before simulating.
     edges = corr.make_edges(window, bin_width)
     if model == "pulsed":
         corr.check_peaks(edges, cfg.pulse.period, cfg.pulse.period / 2.0)

@@ -158,25 +158,42 @@ def check_n_chunks(n_chunks: Optional[int]):
 
 
 def check_peaks(edges: np.ndarray, period: float, peak_halfwidth: float,
-                background_per_bin: float = 0.0) -> list[tuple[int, np.ndarray]]:
-    """(k, bin mask) in ascending k of each side peak k*period +- peak_halfwidth,
-    k != 0, that lies whole inside the bin edges; a bin belongs to a peak when
-    its centre does.  Raises InvalidParameter for a number outside its
-    interval and InsufficientPeaks for no such peak, so it checks a pulse
-    window before any histogram is built.
+                background_per_bin: float = 0.0):
+    """(k, lo, hi), integer arrays in ascending k: peak k*period +-
+    peak_halfwidth holds the bins lo:hi, whose centres c have |c - k*period|
+    <= peak_halfwidth, for every peak, zero included, inside the bin edges.
+    Raises InvalidParameter for a number outside its interval or a peak of no
+    bin centre, and InsufficientPeaks when the edges cut the zero peak or
+    hold no side peak, so it checks a pulse window before any histogram.
     """
     check_number("period", period, 0, math.inf, "()")
     check_number("peak_halfwidth", peak_halfwidth, 0, period / 2.0)
     check_number("background_per_bin", background_per_bin, 0, math.inf, "[)")
     # 1e-9 periods of slack keeps a peak that ends on the outer edge.
-    k_lo = int(np.ceil((edges[0] + peak_halfwidth) / period - 1e-9))
-    k_hi = int(np.floor((edges[-1] - peak_halfwidth) / period + 1e-9))
-    ks = [k for k in range(k_lo, k_hi + 1) if k != 0]
-    if not ks:
+    k_lo = np.ceil((edges[0] + peak_halfwidth) / period - 1e-9)
+    k_hi = np.floor((edges[-1] - peak_halfwidth) / period + 1e-9)
+    if not k_lo <= 0 <= k_hi:
+        raise InsufficientPeaks(f"the bin edges cut the zero peak +- "
+                                f"{peak_halfwidth:g} ns")
+    if k_lo == k_hi:
         raise InsufficientPeaks(f"no side peak k*{period:g} +- {peak_halfwidth:g} "
                                 f"ns lies whole inside the bin edges")
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return [(k, np.abs(centers - k * period) <= peak_halfwidth) for k in ks]
+    # A centre lies in at most two peaks, so of more than 2 * bins one is
+    # empty.  Rounding moves a searchsorted end of a run by at most one bin.
+    if k_hi - k_lo < 2 * centers.size:
+        k = np.arange(int(k_lo), int(k_hi) + 1)
+        mid, last = k * period, centers.size - 1
+        lo = np.searchsorted(centers, mid - peak_halfwidth)
+        hi = np.searchsorted(centers, mid + peak_halfwidth, side="right")
+        lo -= (lo > 0) & (centers[lo - 1] - mid >= -peak_halfwidth)
+        lo += (lo <= last) & (centers[np.minimum(lo, last)] - mid < -peak_halfwidth)
+        hi += (hi <= last) & (centers[np.minimum(hi, last)] - mid <= peak_halfwidth)
+        hi -= (hi > 0) & (centers[hi - 1] - mid > peak_halfwidth)
+        if np.all(lo < hi):
+            return k, lo, hi
+    raise InvalidParameter(f"a peak k*{period:g} +- {peak_halfwidth:g} ns holds "
+                           f"no bin centre")
 
 
 def cross_correlate(s1: TimestampStream, s2: TimestampStream, window: float,
@@ -257,14 +274,14 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
         g2_exp(tau) = 1 - rho^2 + rho^2 * e(tau) * g2(tau),
     directly fittable by the pulsed model.  The peak height scale is taken
     from the side peaks (which carry no antibunching) by projecting their
-    excess onto the model envelope e(tau) = pulse_envelope(tau, tau_o) in each side
-    peak k*period +- period/2 that the bin edges hold whole; rho comes from
-    the supplied per-channel singles rates of signal and background.  Numbers
-    must be finite, period and tau_o > 0 and background rates >= 0 (else
-    InvalidParameter); a signal rate <= 0 raises DegenerateInput.
+    excess onto the model envelope e(tau) = pulse_envelope(tau, tau_o) over
+    each side peak k*period +- period/2 of check_peaks (its errors raised);
+    rho comes from the supplied per-channel singles rates of signal and
+    background.  Numbers must be finite, period and tau_o > 0 and background
+    rates >= 0 (else InvalidParameter); a signal rate <= 0 raises DegenerateInput.
     """
     check_number("tau_o", tau_o, 0, math.inf, "()")
-    peaks = check_peaks(h.bin_edges, period, period / 2.0)
+    ks, los, his = check_peaks(h.bin_edges, period, period / 2.0)
     r1, r2 = signal_rates
     b1, b2 = background_rates
     for rate in signal_rates:
@@ -279,9 +296,10 @@ def normalize_pulsed(h: CoincidenceHistogram, period: float, tau_o: float,
     centers = h.centers
     excess = h.counts - floor
     heights = []
-    for k, sel in peaks:
-        env = pulse_envelope(centers[sel] - k * period, tau_o)
-        heights.append(float(np.dot(excess[sel], env) / np.dot(env, env)))
+    for k, lo, hi in zip(ks.tolist(), los, his):
+        if k:
+            env = pulse_envelope(centers[lo:hi] - k * period, tau_o)
+            heights.append(float(np.dot(excess[lo:hi], env) / np.dot(env, env)))
     peak_scale = float(np.mean(heights))
     if peak_scale <= 0:
         raise DegenerateInput("side peaks carry no excess above the floor")
@@ -314,19 +332,18 @@ def integrate_peaks(h: CoincidenceHistogram, period: float,
                     background_per_bin: float = 0.0) -> PeakIntegration:
     """Integrate the zero-delay peak against the pulse-train side peaks.
 
-    Sums counts within +-peak_halfwidth of zero delay and of every side peak
-    that the bin edges hold whole, subtracts the expected uncorrelated
-    background per peak, and returns the zero-peak to mean-side-peak ratio.
+    Sums the counts of every peak of check_peaks, whose errors it raises,
+    subtracts from each background_per_bin times its own number of bins, and
+    returns the zero-peak to mean-side-peak ratio.
     """
-    side_sums = [int(h.counts[sel].sum()) for _, sel in check_peaks(
-        h.bin_edges, period, peak_halfwidth, background_per_bin)]
-    zero = np.abs(h.centers) <= peak_halfwidth
-    zero_sum = int(h.counts[zero].sum())
-    bg_per_peak = background_per_bin * int(np.count_nonzero(zero))
-    side_mean = float(np.mean(side_sums)) - bg_per_peak
+    k, lo, hi = check_peaks(h.bin_edges, period, peak_halfwidth, background_per_bin)
+    ends = np.concatenate(([0], np.cumsum(h.counts)))
+    sums, n, side = ends[hi] - ends[lo], hi - lo, k != 0
+    side_sums, zero_sum = sums[side].tolist(), int(sums[k == 0][0])
+    side_mean = float(np.mean(side_sums)) - background_per_bin * float(np.mean(n[side]))
     if side_mean <= 0:
         raise DegenerateInput("side peaks vanish after background subtraction")
-    zero_corr = zero_sum - bg_per_peak
+    zero_corr = zero_sum - background_per_bin * int(n[k == 0][0])
     g2_int = zero_corr / side_mean
     # Poisson errors on the raw sums; background treated as exact.
     var_zero = max(zero_sum, 1)

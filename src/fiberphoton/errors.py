@@ -18,7 +18,7 @@ class DegenerateInput(FiberPhotonError, ValueError):
 
 
 class InsufficientPeaks(FiberPhotonError, ValueError):
-    """The histogram's bin edges hold no whole pulse side peak."""
+    """The bin edges cut the zero pulse peak or hold no whole side peak."""
 
 
 class MalformedFile(FiberPhotonError, ValueError):

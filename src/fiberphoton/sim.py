@@ -96,9 +96,16 @@ class SimConfig:
     def from_dict(cls, d: dict) -> SimConfig:
         """Inverse of dataclasses.asdict (the simulate sidecar); fields with
         defaults may be left out.  A missing, unknown or ill-typed key raises
-        InvalidParameter."""
+        InvalidParameter, which names every unknown key of a section."""
         try:
             pulse = d.get("pulse")
+            for name, kind, section in [
+                    ("simulate", cls, d),
+                    ("simulate.emitter", EmitterParams, d["emitter"]),
+                    ("simulate.pulse", PulseParams, pulse or {})]:
+                unknown = sorted(section.keys() - kind.__dataclass_fields__.keys())
+                if unknown:
+                    raise InvalidParameter(f"unknown {name} config keys {unknown}")
             return cls(**{**d, "emitter": EmitterParams(**d["emitter"]),
                           "pulse": None if pulse is None else PulseParams(**pulse)})
         except KeyError as exc:
@@ -172,7 +179,8 @@ def _cw_emissions(p: EmitterParams, duration: float,
         np.cumsum(times, out=times)
         times += t
         k = int(np.searchsorted(times, duration, side="right"))
-        out.append(times[:k])
+        times.resize(k, refcheck=False)  # in place: no view of times is alive
+        out.append(times)
         if k < n:
             break
         t = times[-1]
@@ -263,7 +271,8 @@ def _pulsed_emissions(p: EmitterParams, pulse: PulseParams, h_full: float,
         del owners
         buf[start:n].sort()
         first, size = first + nb + shift, min(2 * size, _BLOCK)
-    return buf[:np.searchsorted(buf[:n], duration, side="right")]
+    buf.resize(np.searchsorted(buf[:n], duration, side="right"), refcheck=False)
+    return buf
 
 
 def _check_memory(expected: float, what: str):

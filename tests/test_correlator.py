@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberphoton import correlate
+from fiberphoton import io as fio
 from fiberphoton.correlate import (
     CoincidenceHistogram,
     background_coincidence_rate,
+    check_peaks,
     cross_correlate,
     integrate_peaks,
     make_edges,
@@ -43,6 +45,13 @@ def brute_force_counts(t1, t2, window, edges):
     delays = delays[np.abs(delays) <= window]
     counts, _ = np.histogram(delays, bins=edges)
     return counts.astype(np.int64)
+
+
+def peak_masks(edges, ks, period, peak_halfwidth):
+    """{k: bin mask} of the peaks k*period +- peak_halfwidth, k in ks, by the
+    rule that a bin is in a peak when its centre is."""
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return {k: np.abs(centers - k * period) <= peak_halfwidth for k in ks}
 
 
 class TestBruteForceOracle:
@@ -379,6 +388,115 @@ class TestNormalization:
         assert np.array_equal(hn.norm[inner], trimmed.norm)
 
 
+class TestPeakLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(bin_width=st.sampled_from([0.1, 0.3, 1 / 3, 1.0, 2.5])
+           | st.floats(0.01, 10.0),
+           n_half=st.integers(1, 600) | st.integers(100, 600),
+           drop=st.integers(0, 3),
+           period=st.sampled_from([0.1, 0.3, 1.0, 1.5, 6.0, 100.0])
+           | st.floats(0.01, 100.0),
+           in_bins=st.booleans(),
+           fraction=st.sampled_from([0.0, 0.35, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    @example(bin_width=1.0, n_half=450, drop=0, period=100.0, in_bins=False,
+             fraction=0.35)
+    @example(bin_width=0.3, n_half=3333, drop=0, period=100.0, in_bins=False,
+             fraction=0.35)
+    @example(bin_width=0.1, n_half=30, drop=0, period=0.3, in_bins=False,
+             fraction=1.0)
+    # Centres one ulp inside +-0.5, in peaks -1 and 1 only after rounding.
+    @example(bin_width=1 - 2**-53, n_half=5, drop=0, period=1.0, in_bins=False,
+             fraction=1.0)
+    def test_bin_ranges_match_the_centre_rule(self, bin_width, n_half, drop,
+                                              period, in_bins, fraction):
+        """check_peaks' (k, lo, hi) holds exactly the bins whose centres
+        peak_masks puts in each peak, or check_peaks refuses: for a cut
+        zero peak, no side peak, more than 2 * bins peaks or a peak of no
+        bin.  in_bins draws the period in bin widths."""
+        if in_bins:
+            period *= bin_width
+        edges = make_edges(n_half * bin_width, bin_width)
+        edges = edges[min(drop, edges.size - 2):]
+        halfwidth = fraction * period / 2.0
+        bins = edges.size - 1
+        # The peaks whose ends lie inside the edges, with 1e-9 periods of slack.
+        ks = range(int(np.ceil((edges[0] + halfwidth) / period - 1e-9)),
+                   int(np.floor((edges[-1] - halfwidth) / period + 1e-9)) + 1)
+        if 0 not in ks or len(ks) == 1:
+            with pytest.raises(InsufficientPeaks):
+                check_peaks(edges, period, halfwidth)
+            return
+        if len(ks) > 2 * bins:
+            with pytest.raises(InvalidParameter, match="no bin"):
+                check_peaks(edges, period, halfwidth)
+            return
+        masks = peak_masks(edges, ks, period, halfwidth)
+        if not all(mask.any() for mask in masks.values()):
+            with pytest.raises(InvalidParameter, match="no bin centre"):
+                check_peaks(edges, period, halfwidth)
+            return
+        k, lo, hi = check_peaks(edges, period, halfwidth)
+        assert k.tolist() == list(masks)
+        index = np.arange(bins)
+        for kk, a, b in zip(k.tolist(), lo, hi):
+            assert np.array_equal((index >= a) & (index < b), masks[kk])
+
+    @pytest.mark.parametrize("period, halfwidth", [(0.1, 0.0), (0.02, 0.0),
+                                                   (1.5, 0.25)])
+    def test_peak_of_no_bin_refused_at_once(self, period, halfwidth):
+        """A period of 0.1 ns in 1-ns bins used to integrate to g2_int = 0.0
+        +- 0.0 over 9000 mostly empty peaks, and 0.02 ns to build 45 000
+        masks; 1.5 ns puts every other peak between two bin centres."""
+        h = CoincidenceHistogram(make_edges(450.0, 1.0), np.full(900, 100), 1e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameter, match="no bin"):
+                integrate_peaks(h, period=period, peak_halfwidth=halfwidth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_zero_peak_cut_by_csv_edges_refused(self, tmp_path):
+        """A histogram read back from CSV may start anywhere: edges from
+        -10 ns hold four whole side peaks but cut the zero peak at +-17.5 ns,
+        which used to be summed in part."""
+        edges = np.arange(-10.0, 451.0)
+        path = tmp_path / "histogram.csv"
+        fio.write_histogram_csv(path, CoincidenceHistogram(
+            edges, np.full(edges.size - 1, 100), 1e6))
+        h = fio.read_histogram_csv(path)
+        with pytest.raises(InsufficientPeaks, match="zero peak"):
+            integrate_peaks(h, period=100.0)
+        with pytest.raises(InsufficientPeaks, match="zero peak"):
+            normalize_pulsed(h, period=100.0, tau_o=6.0,
+                             signal_rates=(1e-3, 1e-3),
+                             background_rates=(1e-4, 1e-4))
+
+    def test_wide_window_memory_is_bounded(self):
+        """At +-50 us in 1-ns bins (999 peaks, 100 000 bins) each peak is a
+        bin range, not a mask over all bins: normalize_pulsed and
+        integrate_peaks each trace at most 10 MB (one mask per peak took
+        ~100 MB)."""
+        edges = make_edges(50_000.0, 1.0)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        phase = np.abs((centers + 50.0) % 100.0 - 50.0)
+        counts = np.round(100 + 1000 * np.exp(-phase / 3.0)).astype(np.int64)
+        h = CoincidenceHistogram(edges, counts, 1e9)
+        calls = [lambda: normalize_pulsed(h, period=100.0, tau_o=6.0,
+                                          signal_rates=(1e-3, 1e-3),
+                                          background_rates=(1e-4, 1e-4)),
+                 lambda: integrate_peaks(h, period=100.0, background_per_bin=100)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10e6
+
+
 class TestPeakIntegration:
     def make_pulse_train(self, zero_height, side_height, bg=0.0):
         T = 1e6
@@ -417,6 +535,20 @@ class TestPeakIntegration:
         assert pk.side_peak_sums == [3600] * 18
         assert pk.zero_peak_sum == 3600
         assert pk.g2_int == 1.0 and type(pk.g2_int) is float
+
+    def test_background_of_each_peak_from_its_own_bins(self):
+        """In 0.3-ns bins the zero peak holds 116 bins and the side peaks 116
+        or 117, so a flat 100 counts per bin at background 100 per bin is
+        pure background; subtracting 116 bins' worth from every side peak
+        used to read g2_int = 0.0 +- 0.0."""
+        edges = make_edges(1000.0, 0.3)
+        h = CoincidenceHistogram(edges, np.full(edges.size - 1, 100), 1e6)
+        k, lo, hi = check_peaks(edges, 100.0, 17.5)
+        assert (hi - lo)[k == 0].tolist() == [116]
+        assert set((hi - lo)[k != 0].tolist()) == {116, 117}
+        with pytest.raises(DegenerateInput):
+            integrate_peaks(h, period=100.0, peak_halfwidth=17.5,
+                            background_per_bin=100)
 
     def test_window_must_hold_side_peaks(self):
         edges = make_edges(40.0, 1.0)

@@ -472,8 +472,11 @@ class TestCliCorrelate:
         (["--period", "100", "--peak-halfwidth", "60"], "peak_halfwidth"),
         (["--period", "100", "--background-per-bin", "-1"], "background_per_bin"),
         (["--window", "100", "--period", "100"], "no side peak"),
+        (["--period", "0.1", "--peak-halfwidth", "0"], "no bin"),
+        (["--period", "1.5", "--peak-halfwidth", "0.25"], "no bin centre"),
     ], ids=["window-nan", "bin-zero", "period-nan", "halfwidth-beyond-half-period",
-            "negative-background", "window-without-side-peak"])
+            "negative-background", "window-without-side-peak",
+            "period-narrower-than-a-bin", "peak-between-bin-centres"])
     def test_peaks_that_cannot_be_integrated_write_nothing(
             self, tmp_path, capsys, monkeypatch, options, word):
         """A bad histogram or peak option exits 2 before any stream is read or
@@ -854,6 +857,13 @@ class TestCliPipeline:
          "rho_e0"),
         ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
           "dark_rate_per_channel": 1e-4}, "dark_rate_per_channel"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1, "jitter": 0.1,
+          "dark_rate": 1e-4}, "unknown simulate config keys ['dark_rate', 'jitter']"),
+        ({"emitter": {"w_p": 0.2, "wp": 0.2, "rho_e0": 0.5}, "duration": 1e5,
+          "seed": 1}, "unknown simulate.emitter config keys ['rho_e0', 'wp']"),
+        ({"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1,
+          "pulse": {"tau_o": 6.0, "period": 100.0, "shape": "exp", "phase": 0}},
+         "unknown simulate.pulse config keys ['phase', 'shape']"),
     ])
     def test_bad_simulate_section_exits_2(self, tmp_path, capsys, section, word):
         assert self._pipeline(tmp_path, {"simulate": section}) == 2

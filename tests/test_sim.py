@@ -427,6 +427,19 @@ class TestMemory:
         assert em.size > 400_000
         assert emit_peak <= 1.4 * em.nbytes
 
+    @pytest.mark.parametrize("w_p, gamma, pulse, duration", [
+        (1.3, 2.0, PulseParams(tau_o=6.0, period=100.0), 1e8),
+        (0.08, 0.15, PulseParams(tau_o=6.0, period=100.0), 2e8),
+        (0.2, 0.4, None, 1e6),
+    ], ids=["criterion-5", "criterion-6", "cw"])
+    def test_output_holds_no_reserve(self, w_p, gamma, pulse, duration):
+        """The emissions own their memory, trimmed in place to their size,
+        so no unused reserve of the sampler's buffer stays allocated."""
+        em = simulate_emission(SimConfig(emitter=EmitterParams(w_p=w_p, gamma=gamma),
+                                         pulse=pulse, duration=duration, seed=0))
+        assert em.size > 0
+        assert em.base is None and em.nbytes == 8 * em.size
+
     @pytest.mark.parametrize("pulse", [None, PulseParams(tau_o=6.0, period=100.0)],
                              ids=["cw", "pulsed"])
     def test_acquisition_beyond_physical_memory_refused(self, pulse):
