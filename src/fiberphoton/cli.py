@@ -22,20 +22,13 @@ from . import correlate as corr
 from . import fit as fitmod
 from . import geometry as geom
 from . import io as fio
-from .emitter import DEFAULT_GAMMA
-from .errors import FiberPhotonError, check_number
+from .errors import FiberPhotonError, check_number, check_section
 from .sim import SimConfig, simulate_streams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
-
-#: The keys a pipeline config and its correlate and fit sections may hold.
-_PIPELINE_KEYS = {"pipeline": {"simulate", "correlate", "fit"},
-                  "correlate": {"window", "bin_width"},
-                  "fit": {"model", "tau_o", "fit_halfwidth"}}
-
 
 def _outdir(args) -> Path:
     base = args.out or os.environ.get("FIBERPHOTON_OUTDIR") or "."
@@ -55,14 +48,12 @@ def _given(args, *names) -> dict:
 
 
 def _build_sim_config(args) -> SimConfig:
+    """The flags' dests are the SimConfig keys; one left out takes its default."""
     return SimConfig.from_dict({
-        "emitter": {"w_p": args.wp, "gamma": args.gamma},
+        **_given(args, "duration", "seed", "detection_efficiency",
+                 "background_rate", "jitter_sigma"),
+        "emitter": _given(args, "w_p", "gamma"),
         "pulse": _given(args, "tau_o", "period") or None,
-        "duration": args.duration,
-        "seed": args.seed,
-        "detection_efficiency": args.efficiency,
-        "background_rate": args.background_rate,
-        "jitter_sigma": args.jitter,
     })
 
 
@@ -138,11 +129,13 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _histogram_fit(model: str, tau_o, fit_halfwidth):
+def _histogram_fit(model: str, tau_o, fit_halfwidth, tau_o_name="tau_o"):
     """The cw or pulsed g2 fit of a normalized histogram, as a function of the
-    histogram, so that a bad model, a missing or bad tau_o or a bad
-    fit_halfwidth fails before any work."""
+    histogram, so that a bad model or fit_halfwidth, a bad tau_o (named
+    tau_o_name) or a pulsed fit without one fails before any work."""
     fitmod.check_fit_halfwidth(fit_halfwidth)
+    if tau_o is not None:
+        check_number(tau_o_name, tau_o, 0, math.inf, "()")
     if model == "cw":
         return lambda h: fitmod.fit_g2_cw(h, fit_halfwidth=fit_halfwidth)
     if model != "pulsed":
@@ -150,7 +143,6 @@ def _histogram_fit(model: str, tau_o, fit_halfwidth):
     if tau_o is None:
         raise FiberPhotonError("a pulsed fit requires tau_o (--tau-o, or a "
                                "simulate.pulse section in a pipeline config)")
-    check_number("tau_o", tau_o, 0, math.inf, "()")
     return lambda h: fitmod.fit_g2_pulsed(h, tau_o_fixed=tau_o,
                                           fit_halfwidth=fit_halfwidth)
 
@@ -196,34 +188,21 @@ def cmd_geometry(args) -> int:
     return EXIT_OK
 
 
-def _pipeline_section(name: str, section) -> dict:
-    """A pipeline config section ({} if left out or null), checked for
-    unknown keys."""
-    section = section or {}
-    if not isinstance(section, dict):
-        raise FiberPhotonError(f"the {name} config must be a JSON object")
-    unknown = sorted(set(section) - _PIPELINE_KEYS[name])
-    if unknown:
-        raise FiberPhotonError(f"unknown {name} config keys {unknown}")
-    return section
-
-
 def cmd_pipeline(args) -> int:
-    config = _pipeline_section("pipeline", json.loads(Path(args.config).read_text()))
-    if "simulate" not in config:
-        raise FiberPhotonError("the pipeline config lacks its simulate section")
+    config = check_section("pipeline", json.loads(Path(args.config).read_text()),
+                           ["simulate", "correlate", "fit"], ["simulate"])
     cfg = SimConfig.from_dict(config["simulate"])
-    cor_cfg = _pipeline_section("correlate", config.get("correlate"))
-    fit_cfg = _pipeline_section("fit", config.get("fit"))
+    cor_cfg = check_section("correlate", config.get("correlate"), ["window", "bin_width"])
+    fit_cfg = check_section("fit", config.get("fit"), ["model", "tau_o", "fit_halfwidth"])
     model = fit_cfg.get("model", "cw")
     tau_o = cfg.pulse.tau_o if cfg.pulse else None
-    fit = _histogram_fit(model, tau_o, fit_cfg.get("fit_halfwidth"))
+    fit = _histogram_fit(model, fit_cfg.get("tau_o", tau_o),
+                         fit_cfg.get("fit_halfwidth"), "fit.tau_o")
     corr.check_n_chunks(args.workers)
-    if "tau_o" in fit_cfg:
-        check_number("fit.tau_o", fit_cfg["tau_o"], 0, math.inf, "()")
     if fit_cfg.get("tau_o", tau_o) != tau_o:
         raise FiberPhotonError(
-            f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}")
+            f"fit.tau_o {fit_cfg['tau_o']} differs from simulate.pulse.tau_o {tau_o}"
+            if cfg.pulse else "fit.tau_o needs a simulate.pulse section")
     window = cor_cfg.get("window", corr.DEFAULT_CW_WINDOW)
     bin_width = cor_cfg.get("bin_width", corr.DEFAULT_BIN_WIDTH)
     # A bad window, or a pulsed one check_peaks refuses, fails before simulating.
@@ -252,18 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate detection timestamp streams")
-    p.add_argument("--wp", type=float, required=True, help="pump rate (1/ns)")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
-                   help="decay rate (1/ns)")
+    p.add_argument("--wp", type=float, dest="w_p", required=True,
+                   help="pump rate (1/ns)")
+    p.add_argument("--gamma", type=float, help="decay rate (1/ns)")
     p.add_argument("--duration", type=float, required=True, help="acquisition (ns)")
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--tau-o", type=float, dest="tau_o", help="pulse width (ns)")
     p.add_argument("--period", type=float, help="pulse period (ns)")
-    p.add_argument("--efficiency", type=float, default=1.0)
-    p.add_argument("--background-rate", type=float, default=0.0,
+    p.add_argument("--efficiency", type=float, dest="detection_efficiency")
+    p.add_argument("--background-rate", type=float,
                    help="total uncorrelated events/ns, detector dark counts "
                         "included, split evenly between the channels")
-    p.add_argument("--jitter", type=float, default=0.0, help="jitter sigma (ns)")
+    p.add_argument("--jitter", type=float, dest="jitter_sigma",
+                   help="jitter sigma (ns)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--prefix", default="stream")
     p.set_defaults(func=cmd_simulate)

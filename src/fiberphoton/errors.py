@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one number check."""
+"""Exception types shared across the package, its one number check and its
+one config-section check."""
 
 import numbers
+import sys
 
 
 class FiberPhotonError(Exception):
@@ -35,10 +37,28 @@ def check_number(name, value, low, high, brackets="[]"):
     """Raise InvalidParameter, naming name and its interval, unless value is
     a real number, not a bool, from low to high.  brackets gives the ends of
     the interval: "[" and "]" include low and high, "(" and ")" exclude them.
-    NaN lies in no interval."""
+    NaN lies in no interval, nor does an integer too large for a float."""
     left, right = brackets
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max)
             and (low <= value if left == "[" else low < value)
             and (value <= high if right == "]" else value < high)):
         raise InvalidParameter(f"{name} must be a number in {left}{low:g}, "
                                f"{high:g}{right}, got {value!r}")
+
+
+def check_section(name, section, allowed, required=()) -> dict:
+    """The config section called name, {} when it was left out (None).
+    Raise InvalidParameter unless it is None or a dict whose keys are all in
+    allowed and include all of required, naming every unknown and every
+    missing key, sorted."""
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise InvalidParameter(
+            f"the {name} config must be a JSON object, got {section!r}")
+    faults = [f"{fault} {name} config keys {keys}" for fault, keys in [
+        ("unknown", sorted(section.keys() - set(allowed))),
+        ("missing", sorted(set(required) - section.keys()))] if keys]
+    if faults:
+        raise InvalidParameter("; ".join(faults))
+    return section

@@ -226,6 +226,9 @@ def _normalized(h: CoincidenceHistogram, model: str,
     """(tau, g2, err) of a histogram normalized for model, restricted to
     |tau| <= fit_halfwidth when it is given; err may be None."""
     check_fit_halfwidth(fit_halfwidth)
+    if h.total_pairs == 0:
+        raise DegenerateInput("histogram holds no coincidence pairs to fit; "
+                              "widen the window or lengthen the acquisition")
     if h.norm is None:
         raise InvalidParameter("histogram must be normalized before fitting")
     if h.normalization not in (None, model):
@@ -233,9 +236,6 @@ def _normalized(h: CoincidenceHistogram, model: str,
             f"a {model} fit needs a {model}-normalized histogram, not a "
             f"{h.normalization}-normalized one (`fiberphoton pipeline` with "
             f"a pulsed fit section writes a pulsed-normalized histogram)")
-    if h.total_pairs == 0:
-        raise DegenerateInput("histogram holds no coincidence pairs to fit; "
-                              "widen the window or lengthen the acquisition")
     tau, y, err = h.centers, h.norm, h.norm_err
     if fit_halfwidth is not None:
         sel = np.abs(tau) <= fit_halfwidth

@@ -37,14 +37,14 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .emitter import (EmitterParams, PulseParams, _pulse_hazard_remaining,
                       _pulse_invert_hazard, pulse_envelope)
-from .errors import InvalidParameter, check_number
+from .errors import InvalidParameter, check_number, check_section
 
 #: Most pulsed segments run side by side in one block.
 _BLOCK = 1 << 16
@@ -94,24 +94,22 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> SimConfig:
-        """Inverse of dataclasses.asdict (the simulate sidecar); fields with
-        defaults may be left out.  A missing, unknown or ill-typed key raises
-        InvalidParameter, which names every unknown key of a section."""
-        try:
-            pulse = d.get("pulse")
-            for name, kind, section in [
-                    ("simulate", cls, d),
-                    ("simulate.emitter", EmitterParams, d["emitter"]),
-                    ("simulate.pulse", PulseParams, pulse or {})]:
-                unknown = sorted(section.keys() - kind.__dataclass_fields__.keys())
-                if unknown:
-                    raise InvalidParameter(f"unknown {name} config keys {unknown}")
-            return cls(**{**d, "emitter": EmitterParams(**d["emitter"]),
-                          "pulse": None if pulse is None else PulseParams(**pulse)})
-        except KeyError as exc:
-            raise InvalidParameter(f"simulate config lacks key {exc}") from None
-        except (AttributeError, TypeError) as exc:
-            raise InvalidParameter(f"bad simulate config: {exc}") from None
+        """Inverse of dataclasses.asdict (the simulate sidecar).  check_section
+        lets each section (simulate, simulate.emitter, simulate.pulse; None:
+        cw) hold its dataclass's fields and requires those without a default;
+        the dataclasses check the values.  Every error is InvalidParameter."""
+        d = _section("simulate", d, cls)
+        emitter = _section("simulate.emitter", d["emitter"], EmitterParams)
+        pulse = d.get("pulse")
+        if pulse is not None:
+            pulse = PulseParams(**_section("simulate.pulse", pulse, PulseParams))
+        return cls(**{**d, "emitter": EmitterParams(**emitter), "pulse": pulse})
+
+
+def _section(name: str, section, kind) -> dict:
+    """section, checked as the config of the dataclass kind."""
+    return check_section(name, section, [f.name for f in fields(kind)],
+                         [f.name for f in fields(kind) if f.default is MISSING])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """File formats and the command-line front end."""
 
 import argparse
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import re
 import tempfile
@@ -18,7 +21,7 @@ from fiberphoton import io as fio
 from fiberphoton.cli import build_parser, main
 from fiberphoton.correlate import CoincidenceHistogram, make_edges
 from fiberphoton.emitter import EmitterParams, PulseParams
-from fiberphoton.errors import MalformedFile
+from fiberphoton.errors import InvalidParameter, MalformedFile
 from fiberphoton.sim import (SimConfig, TimestampStream, simulate_emission,
                              simulate_streams)
 
@@ -42,6 +45,28 @@ def assert_writes_like_reference(streams):
         fio.write_stream_csv(path, streams)
         reference_write_stream_csv(ref, streams)
         assert path.read_bytes() == ref.read_bytes()
+
+
+#: Python's own constructor and attribute text, which no config error may hold.
+LEAKS = ("__init__", "argument after", "has no attribute", "positional argument")
+
+#: Any JSON value: what a config file may hold at any position.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+#: A simulate section that sets every key of the schema.
+FULL_SECTION = {"emitter": {"w_p": 0.2, "gamma": 0.4, "g2_0": 0.0},
+                "pulse": {"tau_o": 6.0, "period": 100.0},
+                "duration": 1e5, "seed": 1, "detection_efficiency": 1.0,
+                "background_rate": 0.0, "jitter_sigma": 0.0, "dead_time": 0.0}
+
+#: Every section and key position of FULL_SECTION, as key paths.
+SECTION_POSITIONS = [(), *((key,) for key in FULL_SECTION),
+                     *((name, key) for name in ("emitter", "pulse")
+                       for key in FULL_SECTION[name])]
 
 
 def small_config(seed=1):
@@ -414,6 +439,42 @@ class TestCliSimulate:
                         duration=1e5, seed=seed, pulse=pulse, jitter_sigma=jitter)
         assert SimConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(SECTION_POSITIONS), value=JSON_VALUES)
+    @example(path=("pulse", "tau_o"), value=10**400)
+    def test_from_dict_returns_a_config_or_raises_invalid_parameter(self, path,
+                                                                    value):
+        """Any JSON value at any position of a simulate section gives a
+        SimConfig or an InvalidParameter in the package's own words."""
+        section = value
+        if path:
+            section = copy.deepcopy(FULL_SECTION)
+            parent = section if len(path) == 1 else section[path[0]]
+            parent[path[-1]] = value
+        try:
+            cfg = SimConfig.from_dict(section)
+        except InvalidParameter as exc:
+            assert not any(leak in str(exc) for leak in LEAKS), str(exc)
+        else:
+            assert isinstance(cfg, SimConfig)
+
+    def test_flags_left_out_take_the_config_defaults(self, tmp_path):
+        """The simulate flags restate none of SimConfig's defaults."""
+        assert main(["simulate", "--wp", "0.5", "--duration", "1e5",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        sidecar = json.loads((tmp_path / "stream.config.json").read_text())
+        assert sidecar == dataclasses.asdict(SimConfig(
+            emitter=EmitterParams(w_p=0.5), duration=1e5, seed=1))
+
+    def test_pulse_flag_without_period_names_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--wp", "0.5", "--tau-o", "6", "--duration",
+                     "1e5", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "missing simulate.pulse config keys ['period']" in err
+        assert not any(leak in err for leak in LEAKS)
+        assert not out.exists()
+
 
 class TestCliCorrelate:
     def _simulate(self, tmp_path, seed=3):
@@ -763,6 +824,34 @@ class TestCliFit:
                      "--tau-o", "6", "--out", str(tmp_path)]) == 2
         assert "no coincidence pairs" in capsys.readouterr().err
 
+    def test_pair_free_histogram_fit_names_the_missing_pairs(self, tmp_path,
+                                                             capsys):
+        """A stream with no detections correlates to an unnormalized
+        histogram without pairs; its fit fails for having no pairs."""
+        assert main(["simulate", "--wp", "0.5", "--duration", "1e5", "--seed",
+                     "1", "--efficiency", "0", "--out", str(tmp_path)]) == 0
+        assert main(["correlate", str(tmp_path / "stream.csv"),
+                     "--out", str(tmp_path)]) == 0
+        for model in ("cw", "pulsed"):
+            capsys.readouterr()
+            assert main(["fit", str(tmp_path / "histogram.csv"), "--model", model,
+                         "--tau-o", "6", "--out", str(tmp_path)]) == 2
+            assert "no coincidence pairs" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("tau_o", ["-5", "0", "inf"])
+    def test_bad_cw_tau_o_exits_2_before_reading(self, tmp_path, capsys,
+                                                 monkeypatch, tau_o):
+        """A given tau_o is checked for every histogram model."""
+        reads = []
+        monkeypatch.setattr(fio, "read_histogram_csv", reads.append)
+        out = tmp_path / "out"
+        assert main(["fit", str(tmp_path / "h.csv"), "--model", "cw",
+                     "--tau-o", tau_o, "--out", str(out)]) == 2
+        assert "tau_o" in capsys.readouterr().err
+        assert not out.exists()
+        assert reads == []
+
 
 class TestCliGeometry:
     def test_channeling_value(self, capsys):
@@ -788,6 +877,10 @@ class TestCliGeometry:
         lines = (tmp_path / "confinement_sweep.csv").read_text().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 102
+
+
+#: A valid cw simulate section.
+SIMULATE = {"emitter": {"w_p": 0.2}, "duration": 1e5, "seed": 1}
 
 
 class TestCliPipeline:
@@ -892,8 +985,16 @@ class TestCliPipeline:
         ({}, {"fit": {"model": "cw", "fit_halfwidth": -5}}, "fit_halfwidth"),
         ({"pulse": {"tau_o": 1.0, "period": 100.0}},
          {"fit": {"model": "pulsed", "tau_o": True}}, "fit.tau_o"),
+        ({}, {"fit": {"model": "cw", "tau_o": 6.0}},
+         "fit.tau_o needs a simulate.pulse section"),
+        ({}, {"fit": {"tau_o": 6.0}}, "fit.tau_o needs a simulate.pulse section"),
+        ({"pulse": {"tau_o": 6.0, "period": 100.0}},
+         {"fit": {"model": "cw", "tau_o": -5}}, "fit.tau_o must be a number"),
+        ({"pulse": {"tau_o": 6.0, "period": 100.0}},
+         {"fit": {"model": "cw", "tau_o": True}}, "fit.tau_o must be a number"),
     ], ids=["unknown-model", "window-without-side-peak", "nan-fit-halfwidth",
-            "negative-fit-halfwidth", "bool-fit-tau_o"])
+            "negative-fit-halfwidth", "bool-fit-tau_o", "cw-fit-tau_o-without-pulse",
+            "fit-tau_o-without-pulse", "cw-negative-fit-tau_o", "cw-bool-fit-tau_o"])
     def test_config_errors_write_nothing(self, tmp_path, capsys, monkeypatch,
                                          simulate, config, word):
         simulated = []
@@ -931,9 +1032,61 @@ class TestCliPipeline:
         assert not (tmp_path / "out").exists()
         assert simulated == []
 
+    @pytest.mark.parametrize("config, word", [
+        ({"simulate": SIMULATE, "fit": False}, "the fit config"),
+        ({"simulate": SIMULATE, "fit": 0}, "the fit config"),
+        ({"simulate": SIMULATE, "fit": ""}, "the fit config"),
+        ({"simulate": SIMULATE, "correlate": []}, "the correlate config"),
+        ([], "the pipeline config"),
+        ({"simulate": None},
+         "missing simulate config keys ['duration', 'emitter', 'seed']"),
+        ({"simulate": {"emitter": {"w_p": 0.2}}},
+         "missing simulate config keys ['duration', 'seed']"),
+        ({"simulate": {**SIMULATE, "emitter": None}},
+         "missing simulate.emitter config keys ['w_p']"),
+        ({"simulate": {**SIMULATE, "pulse": False}}, "the simulate.pulse config"),
+        ({"simulate": {**SIMULATE, "pulse": {}}},
+         "missing simulate.pulse config keys ['period', 'tau_o']"),
+        ({"simulate": {**SIMULATE, "emitter": [0.2]}},
+         "the simulate.emitter config"),
+        ({"simulate": {"emitter": {"w_p": 0.2}, "seed": 1, "jitter": 0.1}},
+         "unknown simulate config keys ['jitter']; "
+         "missing simulate config keys ['duration']"),
+    ], ids=["fit-false", "fit-zero", "fit-empty-string", "correlate-list",
+            "top-level-list", "simulate-null", "no-duration-no-seed",
+            "emitter-null", "pulse-false", "pulse-empty", "emitter-list",
+            "unknown-and-missing"])
+    def test_ill_formed_section_exits_2_before_simulating(
+            self, tmp_path, capsys, monkeypatch, config, word):
+        """A section that is not an object, or that lacks a required key,
+        exits 2 in the package's own words, and nothing is simulated or
+        written."""
+        simulated = []
+        monkeypatch.setattr("fiberphoton.cli.simulate_streams", simulated.append)
+        assert self._pipeline(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert word in err
+        assert not any(leak in err for leak in LEAKS)
+        assert not (tmp_path / "out").exists()
+        assert simulated == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["correlate", "fit"]),
+           value=JSON_VALUES.filter(lambda v: v is not None
+                                    and not isinstance(v, dict)))
+    def test_non_object_section_exits_2_before_simulating(self, name, value):
+        simulated, err = [], io.StringIO()
+        with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
+              contextlib.redirect_stderr(err)):
+            mp.setattr("fiberphoton.cli.simulate_streams", simulated.append)
+            assert self._pipeline(Path(tmp), {"simulate": SIMULATE, name: value}) == 2
+            assert not (Path(tmp) / "out").exists()
+        assert f"the {name} config must be a JSON object" in err.getvalue()
+        assert simulated == []
+
     def test_missing_simulate_section_exits_2(self, tmp_path, capsys):
         assert self._pipeline(tmp_path, {"fit": {"model": "cw"}}) == 2
-        assert "simulate section" in capsys.readouterr().err
+        assert "missing pipeline config keys ['simulate']" in capsys.readouterr().err
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         """Only the package's own errors exit 2; a KeyError is a bug."""
@@ -943,6 +1096,14 @@ class TestCliPipeline:
         with pytest.raises(KeyError):
             self._pipeline(tmp_path, {"simulate": {"emitter": {"w_p": 0.2},
                                                    "duration": 1e5, "seed": 1}})
+
+    def test_internal_type_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        """Nor is a TypeError raised while a config section is read."""
+        def broken(params):
+            raise TypeError("internal")
+        monkeypatch.setattr(EmitterParams, "__post_init__", broken)
+        with pytest.raises(TypeError, match="internal"):
+            self._pipeline(tmp_path, {"simulate": SIMULATE})
 
     def test_pulsed_fit_tau_o_comes_from_the_pulse(self, tmp_path, capsys):
         """fit.tau_o may be left out; given, it must equal simulate.pulse.tau_o."""
