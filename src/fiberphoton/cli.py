@@ -189,8 +189,11 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = check_section("pipeline", json.loads(Path(args.config).read_text()),
-                           ["simulate", "correlate", "fit"], ["simulate"])
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
+        raise FiberPhotonError(f"bad configuration: {exc}") from None
+    config = check_section("pipeline", config, ["simulate", "correlate", "fit"], ["simulate"])
     cfg = SimConfig.from_dict(config["simulate"])
     cor_cfg = check_section("correlate", config.get("correlate"), ["window", "bin_width"])
     fit_cfg = check_section("fit", config.get("fit"), ["model", "tau_o", "fit_halfwidth"])
@@ -217,7 +220,7 @@ def cmd_pipeline(args) -> int:
     _write_streams(out / "stream.csv", cfg, streams)
     fio.write_histogram_csv(out / "histogram.csv", h)
     print(f"pipeline outputs in {out}")
-    if not fit_cfg:
+    if config.get("fit") is None:
         return EXIT_OK
     return _report_fit(out / "fit.json", fit(h))
 
@@ -309,8 +312,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except FiberPhotonError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_CONFIG, f"bad configuration: {exc}")
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
 

@@ -12,13 +12,16 @@ Every reader raises MalformedFile for input that does not match its format, a
 row with a missing or an extra cell and bytes that are not UTF-8 included.
 
 Stream CSVs hold millions of rows, so their rows skip the csv module.  The
-writer builds the rows of a block of times in numpy: exact int64 arithmetic
-on each time's mantissa finds repr's shortest round-trip digits, and only
-times below 1 or from 2**52 up and times midway between two shortest
-candidates are formatted by repr itself.  The reader parses the whole body
-with one np.loadtxt call.  Only a file that loadtxt rejects, that has a
-channel other than 1 or 2, or that holds a NUL byte is scanned row by row to
-report the line of the first bad row.
+writer builds the row blocks in numpy on every core and writes them in order:
+exact int64 arithmetic on each time's mantissa finds repr's shortest
+round-trip digits; only times below 1 or from 2**52 up and times midway
+between two shortest candidates are formatted by repr itself.  Next to the
+CSV goes its binary twin <name>.npz: ch1 and ch2 (float64) and sha256, the
+digest of the CSV's bytes.  The reader takes the times from the twin only
+while it is whole and holds the digest of the CSV as it is now; any other
+stream CSV is parsed by one np.loadtxt call, which the twin must agree with.
+Only a file that loadtxt rejects, that has a channel other than 1 or 2, or
+that holds a NUL byte is scanned row by row to report its first bad row.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -118,9 +124,10 @@ def _sidecar(csv_path) -> dict:
     return meta
 
 
-#: Times per fh.write: bounds the row matrix of _stream_rows at ~2.5 MB and
-#: each of its int64 temporaries at 0.5 MB.
-_WRITE_BLOCK = 2**16
+#: Times per row block, set by peak RSS: on 2 threads, cli-files rounds peak
+#: 2-4 MB above a serial writer at 2**14, 6-15 MB at 2**15 and 18-23 MB at
+#: 2**16, with no run time gain beyond the spread of the runs.
+_WRITE_BLOCK = 2**14
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
@@ -220,14 +227,35 @@ def write_stream_csv(path, streams: tuple[TimestampStream, TimestampStream]):
     The rows of each block of _WRITE_BLOCK times are built in numpy by
     _stream_rows, with repr's shortest round-trip digits; times below 1 or
     from 2**52 up, and times midway between two shortest candidates, are
-    written with repr itself.
+    written with repr itself.  The blocks are built on os.cpu_count()
+    threads, at most one in flight per thread, and written in order; then
+    the twin <name>.npz gets the times by channel and the CSV's sha256.
+    Streams other than one of channel 1 and one of 2 raise InvalidParameter.
     """
-    with Path(path).open("wb") as fh:
-        fh.write((",".join(STREAM_HEADER) + "\r\n").encode())
-        for s in streams:
-            prefix = f"{s.channel},".encode()
-            for i in range(0, s.times.size, _WRITE_BLOCK):
-                fh.write(_stream_rows(prefix, s.times[i:i + _WRITE_BLOCK]))
+    import hashlib  # imported here: a CLI start that writes no stream skips it
+    if sorted(s.channel for s in streams) != [1, 2]:
+        raise InvalidParameter("a stream CSV holds one stream of channel 1 and one of 2")
+    digest = hashlib.sha256()
+    threads = os.cpu_count() or 1
+    blocks = ((f"{s.channel},".encode(), s.times[i:i + _WRITE_BLOCK])
+              for s in streams for i in range(0, s.times.size, _WRITE_BLOCK))
+    with Path(path).open("wb") as fh, ThreadPoolExecutor(threads) as pool:
+        def put(data: bytes):
+            fh.write(data)
+            digest.update(data)
+
+        put((",".join(STREAM_HEADER) + "\r\n").encode())
+        pending = deque()
+        for block in blocks:
+            if len(pending) == threads:
+                put(pending.popleft().result())
+            pending.append(pool.submit(_stream_rows, *block))
+        for rows in pending:
+            put(rows.result())
+    twin = Path(path).with_suffix(".npz")
+    if twin != Path(path):
+        np.savez(twin, sha256=np.frombuffer(digest.digest(), dtype=np.uint8),
+                 **{f"ch{s.channel}": s.times for s in streams})
 
 
 #: A lookup here instead of int() keeps a channel cell exactly "1" or "2".
@@ -241,11 +269,10 @@ def _stream_row(row):
     return _CHANNELS[channel], float(t)
 
 
-def _holds_nul(path) -> bool:
-    """Whether the file holds a NUL byte, read in 1 MiB blocks.  np.loadtxt
-    drops trailing NULs from a U2 cell, so it reads "1\\0" as "1"."""
+def _blocks(path):
+    """The bytes of a file in 1 MiB blocks."""
     with Path(path).open("rb") as fh:
-        return any(b"\0" in block for block in iter(partial(fh.read, 1 << 20), b""))
+        yield from iter(partial(fh.read, 1 << 20), b"")
 
 
 def _bad_stream_rows(path) -> NoReturn:
@@ -256,9 +283,8 @@ def _bad_stream_rows(path) -> NoReturn:
     raise MalformedFile(f"{path}: unreadable stream rows")
 
 
-def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
-    """Read a two-channel stream CSV; duration is taken from the sidecar if
-    present, else from the latest timestamp."""
+def _parse_stream_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The times of a stream CSV's channel 1 and 2 rows, in file order."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         _body(fh, path, STREAM_HEADER)
     try:
@@ -270,16 +296,49 @@ def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
     except ValueError:
         _bad_stream_rows(path)
     is_one = rows["channel"] == "1"
-    if not np.all(is_one | (rows["channel"] == "2")) or _holds_nul(path):
+    # np.loadtxt drops trailing NULs from a U2 cell, so it reads "1\0" as "1".
+    if (not np.all(is_one | (rows["channel"] == "2"))
+            or any(b"\0" in block for block in _blocks(path))):
         _bad_stream_rows(path)
+    return rows["time"][is_one], rows["time"][~is_one]
+
+
+def _read_twin(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ch1 and ch2 times of the stream CSV's twin, or None unless the
+    twin loads without pickles, holds exactly ch1 and ch2 (1-D float64) and
+    sha256 (32 bytes), and that digest is the sha256 of the CSV's bytes."""
+    import hashlib  # imported here: a CLI start that reads no stream skips it
+    try:
+        with (Path(path).with_suffix(".npz").open("rb") as fh,
+              np.load(fh, allow_pickle=False) as twin):
+            ch1, ch2, sha256 = (twin[key] for key in ("ch1", "ch2", "sha256"))
+            whole = (len(twin.files) == 3 and ch1.ndim == ch2.ndim == 1
+                     and ch1.dtype == ch2.dtype == np.float64
+                     and sha256.dtype == np.uint8 and sha256.shape == (32,))
+    except Exception:  # the twin only caches the CSV: whatever fails, parse
+        return None
+    if not whole:
+        return None
+    digest = hashlib.sha256()
+    for block in _blocks(path):
+        digest.update(block)
+    return (ch1, ch2) if sha256.tobytes() == digest.digest() else None
+
+
+def read_stream_csv(path) -> tuple[TimestampStream, TimestampStream]:
+    """Read a two-channel stream CSV; duration is taken from the sidecar if
+    present, else from the latest timestamp.  The times come from the twin
+    that _read_twin accepts, else from the parse; both give the same."""
+    channels = _read_twin(path) or _parse_stream_csv(path)
     duration = _sidecar(path).get("duration")
     if duration is None:
-        hi = float(rows["time"].max()) if rows.size else 0.0
+        hi = max((float(t.max()) for t in channels if t.size), default=0.0)
         duration = hi if hi > 0 else 1.0
+    for t in channels:
+        t.sort()  # in place: both paths return fresh arrays
     return tuple(
-        TimestampStream(channel=ch, times=np.sort(rows["time"][mask]),
-                        duration=duration)
-        for ch, mask in ((1, is_one), (2, ~is_one))
+        TimestampStream(channel=ch, times=t, duration=duration)
+        for ch, t in zip((1, 2), channels)
     )
 
 

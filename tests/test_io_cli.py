@@ -179,9 +179,9 @@ class TestStreamCsv:
         assert_writes_like_reference(streams)
 
     def test_round_trip_across_write_blocks(self, tmp_path):
-        """2**16 + 1 events per channel: one more than a write block."""
+        """Four write blocks and one more event per channel."""
         rng = np.random.default_rng(5)
-        n = 2**16 + 1
+        n = 4 * fio._WRITE_BLOCK + 1
         streams = tuple(
             TimestampStream(channel=ch, duration=1e9,
                             times=np.cumsum(rng.uniform(1e-3, 1e4, n)))
@@ -225,6 +225,161 @@ class TestStreamCsv:
             back = fio.read_stream_csv(path)
         assert [(s.channel, s.times.size, s.duration) for s in back] == [
             (1, 0, 1.0), (2, 0, 1.0)]
+
+
+#: Times below 1 and from 2**52 up, which repr writes, and the row builder's
+#: own range between them.
+TWIN_TIMES = st.lists(st.floats(0.0, 1.0) | st.floats(1.0, 2.0**52)
+                      | st.floats(2.0**52, 2.0**60), max_size=12)
+
+
+@st.composite
+def stream_pairs(draw):
+    """Two streams, either possibly empty, with nextafter ties and times at
+    the duration, and whether a sidecar gives that duration."""
+    duration = draw(st.sampled_from([1.0, 5e8, 2.0**52, 2.0**60]))
+    streams = []
+    for ch in (1, 2):
+        times = [t for t in draw(TWIN_TIMES) if t <= duration]
+        times += [duration] * draw(st.booleans())
+        times += [float(np.nextafter(t, np.inf)) for t in times[:draw(st.integers(0, 2))]]
+        streams.append(TimestampStream(
+            channel=ch, duration=duration,
+            times=sorted({t for t in times if t <= duration})))
+    return tuple(streams), draw(st.booleans())
+
+
+def write_pair(path, pair):
+    streams, sidecar = pair
+    fio.write_stream_csv(path, streams)
+    if sidecar:
+        fio.sidecar_path(path).write_text(json.dumps({"duration": streams[0].duration}))
+
+
+def read_outcome(path):
+    """What read_stream_csv gives: each stream's channel, duration and time
+    bytes, or the type and text of the error it raises."""
+    try:
+        return [(s.channel, s.duration, s.times.tobytes())
+                for s in fio.read_stream_csv(path)]
+    except (MalformedFile, InvalidParameter) as exc:
+        return type(exc), str(exc)
+
+
+def parse_outcome(path):
+    """What read_stream_csv gives once the twin is gone: the parse alone."""
+    twin = path.with_suffix(".npz")
+    kept = twin.read_bytes() if twin.exists() else None
+    twin.unlink(missing_ok=True)
+    try:
+        return read_outcome(path)
+    finally:
+        if kept is not None:
+            twin.write_bytes(kept)
+
+
+class TestStreamTwin:
+    """The binary twin <name>.npz that write_stream_csv writes next to a
+    stream CSV: read_stream_csv uses it only while it holds the digest of
+    the CSV's bytes, and then reads what the parse of the CSV reads."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream_pairs())
+    @example((tuple(TimestampStream(channel=ch, times=[], duration=1.0)
+                    for ch in (1, 2)), False))
+    @example(((TimestampStream(channel=1, duration=1e9, times=[
+        1.0, 5e8, float(np.nextafter(5e8, np.inf)), 1e9]),
+        TimestampStream(channel=2, times=[0.0, 0.5], duration=1e9)), True))
+    def test_twin_reads_what_the_parse_reads(self, pair):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            write_pair(path, pair)
+            assert fio._read_twin(path) is not None
+            through_twin = read_outcome(path)
+            assert through_twin == parse_outcome(path)
+        streams, _ = pair
+        assert [t for _, _, t in through_twin] == [s.times.tobytes() for s in streams]
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream_pairs(), st.integers(0), st.integers(1, 255))
+    def test_an_edited_csv_is_parsed(self, pair, where, delta):
+        """After a one-byte edit the twin is not used: the reader returns the
+        parse of the edited file, or raises the parse's error."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            write_pair(path, pair)
+            data = bytearray(path.read_bytes())
+            where %= len(data)
+            data[where] = (data[where] + delta) % 256
+            path.write_bytes(bytes(data))
+            assert fio._read_twin(path) is None
+            assert read_outcome(path) == parse_outcome(path)
+
+    @pytest.mark.parametrize("fault", [
+        "truncated", "extra-key", "missing-key", "float32-ch1", "2-d-ch1",
+        "pickled-ch1", "not-an-npz"])
+    @settings(max_examples=25, deadline=None)
+    @given(pair=stream_pairs(), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_a_broken_twin_is_passed_over(self, fault, pair, cut):
+        """A twin with the right digest but the wrong contents neither loads
+        nor raises: the parse result comes back."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            write_pair(path, pair)
+            twin = path.with_suffix(".npz")
+            with np.load(twin) as npz:
+                arrays = dict(npz)
+            if fault == "truncated":
+                data = twin.read_bytes()
+                twin.write_bytes(data[:int(cut * len(data))])
+            elif fault == "not-an-npz":
+                np.save(twin.with_suffix(".npy"), arrays["ch1"])
+                twin.with_suffix(".npy").rename(twin)
+            else:
+                if fault == "extra-key":
+                    arrays["ch3"] = arrays["ch2"]
+                elif fault == "missing-key":
+                    del arrays["ch2"]
+                elif fault == "float32-ch1":
+                    arrays["ch1"] = arrays["ch1"].astype(np.float32)
+                elif fault == "2-d-ch1":
+                    arrays["ch1"] = arrays["ch1"][None, :]
+                else:
+                    arrays["ch1"] = arrays["ch1"].astype(object)
+                np.savez(twin, **arrays)
+            assert fio._read_twin(path) is None
+            assert read_outcome(path) == parse_outcome(path)
+
+    @pytest.mark.parametrize("channels", [(1, 1), (2, 2), (1,), (1, 2, 2)])
+    def test_streams_other_than_one_per_channel_are_refused(self, tmp_path,
+                                                            channels):
+        """The twin holds one array per channel, so the writer refuses what
+        the parse would merge or leave empty, and writes no file."""
+        streams = tuple(TimestampStream(channel=ch, times=[1.0], duration=10.0)
+                        for ch in channels)
+        with pytest.raises(InvalidParameter, match="one stream of channel 1"):
+            fio.write_stream_csv(tmp_path / "stream.csv", streams)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_csv_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, cpus):
+        """Blocks built on any number of threads are written in order."""
+        monkeypatch.setattr(fio, "_WRITE_BLOCK", 100)
+        monkeypatch.setattr(fio.os, "cpu_count", lambda: cpus)
+        rng = np.random.default_rng(7)
+        streams = tuple(
+            TimestampStream(channel=ch, duration=1e9,
+                            times=np.cumsum(rng.uniform(1e-3, 1e4, n)))
+            for ch, n in ((1, 1050), (2, 333)))
+        assert_writes_like_reference(streams)
+
+    def test_csv_named_like_its_twin_keeps_its_rows(self, tmp_path):
+        """A CSV at a .npz path is not overwritten by its twin."""
+        path = tmp_path / "stream.npz"
+        streams = tuple(TimestampStream(channel=ch, times=[float(ch)], duration=2.0)
+                        for ch in (1, 2))
+        fio.write_stream_csv(path, streams)
+        assert path.read_bytes() == b"channel,time_ns\r\n1,1.0\r\n2,2.0\r\n"
 
 
 class TestHistogramCsv:
@@ -891,6 +1046,16 @@ class TestCliPipeline:
             assert main(["pipeline", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
 
+    def test_integer_beyond_the_digit_limit_exits_2(self, tmp_path, capsys):
+        """json.loads refuses an integer of more than 4300 digits with a
+        plain ValueError: a bad configuration, not a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"simulate": {"seed": ' + "1" * 5000 + "}}")
+        assert main(["pipeline", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 3
@@ -1140,6 +1305,21 @@ class TestCliPipeline:
                                "duration": 1e5, "seed": 1},
                   "fit": {"model": "pulsed", "tau_o": 6.0}}
         assert self._pipeline(tmp_path, config) == 2
+
+    def test_a_fit_section_fits_with_its_defaults(self, tmp_path):
+        """An empty fit section is a cw fit; a null or absent one runs none."""
+        simulate = {"emitter": {"w_p": 0.2, "gamma": 0.4}, "duration": 1e6,
+                    "seed": 1}
+        reports = {}
+        for name, extra in [("empty", {"fit": {}}), ("cw", {"fit": {"model": "cw"}}),
+                            ("null", {"fit": None}), ("absent", {})]:
+            (tmp_path / name).mkdir()
+            assert self._pipeline(tmp_path / name, {"simulate": simulate, **extra}) == 0
+            report = tmp_path / name / "out" / "fit.json"
+            reports[name] = report.read_bytes() if report.exists() else None
+        assert reports["empty"] is not None
+        assert reports["empty"] == reports["cw"]
+        assert reports["null"] is reports["absent"] is None
 
     @pytest.mark.parametrize("bin_width", [1 / 3, 0.1, 0.7, 1.0])
     def test_histogram_file_refits_to_the_same_report(self, tmp_path, bin_width):
