@@ -12,7 +12,6 @@ annulus.  Run:
 import numpy as np
 
 from fiberphoton import (
-    FiberGeometry,
     channeling_efficiency,
     confinement_efficiency,
     confinement_efficiency_sampled,
@@ -30,29 +29,25 @@ def main():
           f"{channeling_efficiency(N_SILICA):.4f} "
           "(both propagation directions combined)")
 
-    g = FiberGeometry(a=1.0, n=N_SILICA, r=0.9, wavelength=1.0)
     print("\n== Azimuthal confinement by total internal reflection ==")
-    print(f"critical offset r_c = a/n = {critical_offset(g):.4f} a")
-    print(f"core-area fraction beyond r_c: p = {tir_area_fraction(g):.4f}")
+    print(f"critical offset r_c = a/n = {critical_offset(1.0, N_SILICA):.4f} a")
+    print(f"core-area fraction beyond r_c: p = {tir_area_fraction(N_SILICA):.4f}")
     for ratio in (0.5, 0.7, 0.8, 0.9, 1.0):
-        gi = FiberGeometry(a=1.0, n=N_SILICA, r=ratio, wavelength=1.0)
-        eta = confinement_efficiency(gi)
-        oracle = confinement_efficiency_sampled(gi, num=100_000)
+        eta = confinement_efficiency(N_SILICA, ratio)
+        oracle = confinement_efficiency_sampled(N_SILICA, ratio, num=100_000)
         print(f"  r/a = {ratio:.1f}: eta = {eta:.4f}  "
               f"(sampled check {oracle:.4f})")
 
     print("\n== Whispering-gallery mode numbers ==")
     for wavelength in (0.6, 1.0, 1.5):
-        gi = FiberGeometry(a=1.0, n=N_SILICA, r=0.0, wavelength=wavelength)
-        modes = wgm_mode_numbers(gi)
+        modes = wgm_mode_numbers(1.0, wavelength, N_SILICA)
         span = f"{modes[0]}..{modes[-1]}" if modes else "none"
         print(f"  a = 1.0 um, lambda = {wavelength} um: m = {span} "
               f"({len(modes)} modes)")
 
     print("\nDense confinement profile (r/a, eta):")
     for ratio in np.linspace(0.65, 1.0, 8):
-        gi = FiberGeometry(a=1.0, n=N_SILICA, r=float(ratio), wavelength=1.0)
-        bar = "#" * int(50 * confinement_efficiency(gi))
+        bar = "#" * int(50 * confinement_efficiency(N_SILICA, ratio))
         print(f"  {ratio:.3f} |{bar}")
 
 

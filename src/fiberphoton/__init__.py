@@ -39,8 +39,6 @@ from .fit import (
     least_squares_engine,
 )
 from .geometry import (
-    FiberGeometry,
-    azimuthal_solutions,
     channeling_efficiency,
     confinement_efficiency,
     confinement_efficiency_sampled,

@@ -170,8 +170,7 @@ def cmd_geometry(args) -> int:
         print(f"{geom.channeling_efficiency(args.n):.6f}")
         return EXIT_OK
     if args.geom_cmd == "modes":
-        g = geom.FiberGeometry(a=args.a, n=args.n, r=0.0, wavelength=args.wavelength)
-        modes = geom.wgm_mode_numbers(g)
+        modes = geom.wgm_mode_numbers(args.a, args.wavelength, args.n)
         if modes:
             print(f"m={modes[0]}..{modes[-1]} count={len(modes)}")
         else:
@@ -183,8 +182,7 @@ def cmd_geometry(args) -> int:
         fio.write_sweep_csv(path, *geom.confinement_sweep(args.n))
         print(f"wrote {path}")
     else:
-        g = geom.FiberGeometry(a=1.0, n=args.n, r=args.r_over_a, wavelength=1.0)
-        print(f"{geom.confinement_efficiency(g):.6f}")
+        print(f"{geom.confinement_efficiency(args.n, args.r_over_a):.6f}")
     return EXIT_OK
 
 

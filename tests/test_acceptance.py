@@ -37,7 +37,6 @@ from fiberphoton.fit import (
     saturation_model,
 )
 from fiberphoton.geometry import (
-    FiberGeometry,
     channeling_efficiency,
     confinement_efficiency,
     confinement_efficiency_sampled,
@@ -52,11 +51,10 @@ from fiberphoton.sim import SimConfig, detect_hbt, simulate_emission
 def test_criterion_1_geometry_exactness():
     t0 = time.time()
     ok = True
-    g = FiberGeometry(a=1.0, n=1.45, r=0.0, wavelength=1.0)
     ok &= abs(channeling_efficiency(1.45) - 0.3103) < 1e-4 + 5e-5
-    ok &= abs(critical_offset(g) / g.a - 0.6897) < 1e-3
-    ok &= abs(tir_area_fraction(g) - 0.5244) < 1e-3
-    ok &= wgm_mode_numbers(g) == [13, 14, 15, 16, 17, 18]
+    ok &= abs(critical_offset(1.0, 1.45) - 0.6897) < 1e-3  # r_c/a at a = 1
+    ok &= abs(tir_area_fraction(1.45) - 0.5244) < 1e-3
+    ok &= wgm_mode_numbers(1.0, 1.0, 1.45) == [13, 14, 15, 16, 17, 18]
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
     record_criterion(1, bool(ok),
@@ -71,9 +69,8 @@ def test_criterion_2_confinement_oracle():
     for _ in range(100):
         n = rng.uniform(1.1, 2.0)
         r = rng.uniform(0.0, 1.0)
-        g = FiberGeometry(a=1.0, n=n, r=r, wavelength=1.0)
-        delta = abs(confinement_efficiency(g)
-                    - confinement_efficiency_sampled(g, num=200_000))
+        delta = abs(confinement_efficiency(n, r)
+                    - confinement_efficiency_sampled(n, r, num=200_000))
         worst = max(worst, delta)
     elapsed = time.time() - t0
     ok = worst < 1e-3 and elapsed < 10.0

@@ -844,6 +844,16 @@ def test_readme_flags_are_parser_options():
     assert flags - set(_parser_options(build_parser())) == set()
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's python block runs as written and prints the fitted g2_0
+    and 2/w_p, two finite numbers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+    values = [float(word) for word in capsys.readouterr().out.split()]
+    assert len(values) == 2 and all(map(np.isfinite, values)), values
+
+
 def test_readme_simulate_schema_is_the_config_fields():
     """The names that the README's simulate bullet quotes before its first
     full stop are exactly the fields of SimConfig, EmitterParams and
@@ -1017,14 +1027,25 @@ class TestCliGeometry:
         assert main(["geometry", "modes", "--a", "1.0", "--lambda", "1.0",
                      "--n", "1.45"]) == 0
         assert capsys.readouterr().out.strip() == "m=13..18 count=6"
+        assert main(["geometry", "modes", "--a", "0.01", "--lambda", "1",
+                     "--n", "1.45"]) == 0
+        assert capsys.readouterr().out.strip() == "m=none count=0"
 
     def test_confinement_below_critical_offset(self, capsys):
         assert main(["geometry", "confinement", "--n", "1.45",
                      "--r-over-a", "0.5"]) == 0
         assert float(capsys.readouterr().out) == 0.0
 
-    def test_invalid_geometry_exits_2(self):
-        assert main(["geometry", "channeling", "--n", "0.5"]) == 2
+    def test_invalid_geometry_exits_2(self, capsys):
+        """Each refusal names the input that the called function checks."""
+        for args, name in [
+                ("channeling --n 0.5", "refractive index n"),
+                ("confinement --n 1.45 --r-over-a 1.5", "emitter offset r/a"),
+                ("confinement --n 1.0", "refractive index n"),
+                ("modes --a -1 --lambda 1 --n 1.45", "core radius a"),
+                ("modes --a 1 --lambda 0 --n 1.45", "wavelength")]:
+            assert main(["geometry", *args.split()]) == 2, args
+            assert name in capsys.readouterr().err, args
 
     def test_confinement_sweep_csv(self, tmp_path):
         assert main(["geometry", "confinement", "--n", "1.45", "--sweep",

@@ -134,6 +134,20 @@ class TestCwStatistics:
         assert np.all(np.diff(em) > 0)
         assert em[0] >= 0 and em[-1] <= 1e6
 
+    @pytest.mark.parametrize("seed, count", [(59, 127), (285, 128)])
+    def test_second_round_continues_the_first(self, seed, count):
+        """At w_p 0.2, gamma 0.4 and 750 ns the first round draws
+        int(750 / 7.5 * 1.1) + 16 = 126 cycles, and these seeds need more:
+        the second round must start where the first one ended."""
+        cfg = cw_config(w_p=0.2, gamma=0.4, duration=750.0, seed=seed)
+        em = simulate_emission(cfg)
+        assert em.size == count
+        assert np.all(np.diff(em) > 0)
+        assert em[0] >= 0 and em[-1] <= 750.0
+        assert em.tobytes() == simulate_emission(cfg).tobytes()
+        s1, s2 = detect_hbt(em, cfg)
+        assert s1.times.size + s2.times.size > 0
+
     def test_zero_gamma_never_emits(self):
         cfg = cw_config(gamma=0.0, seed=3)
         assert simulate_emission(cfg).size == 0
