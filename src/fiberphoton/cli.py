@@ -5,8 +5,11 @@ plot-ready CSV plus JSON sidecars/reports so any output is reproducible from
 its config alone.  Exit codes: 0 ok, 2 invalid configuration or input,
 3 I/O failure, 4 fit did not converge (report still written).
 
-The default output directory is the current directory, overridable with the
-FIBERPHOTON_OUTDIR environment variable.
+Every subcommand writes into --out (default: the current directory) under
+one fixed set of names, so `simulate`, `correlate` and `fit` in one
+directory write what `pipeline` writes: stream.csv (with stream.npz and
+stream.config.json), histogram.csv (with histogram.config.json and, given
+--period, histogram.peaks.json), fit.json and confinement_sweep.csv.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +33,7 @@ EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
 
 def _outdir(args) -> Path:
-    base = args.out or os.environ.get("FIBERPHOTON_OUTDIR") or "."
-    path = Path(base)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -66,19 +67,10 @@ def _write_streams(stream_path: Path, cfg: SimConfig, streams):
 def cmd_simulate(args) -> int:
     cfg = _build_sim_config(args)
     s1, s2 = streams = simulate_streams(cfg)
-    stream_path = _outdir(args) / f"{args.prefix}.csv"
+    stream_path = _outdir(args) / "stream.csv"
     _write_streams(stream_path, cfg, streams)
     print(f"wrote {stream_path} ({s1.times.size} + {s2.times.size} events)")
     return EXIT_OK
-
-
-def _load_streams(paths):
-    if len(paths) > 2:
-        raise FiberPhotonError(
-            f"correlate takes one two-channel CSV or two CSVs, not {len(paths)}")
-    if len(paths) == 1:
-        return fio.read_stream_csv(paths[0])
-    return fio.read_stream_csv(paths[0])[0], fio.read_stream_csv(paths[1])[1]
 
 
 def _correlate(s1, s2, window: float, bin_width: float, workers: int | None,
@@ -113,16 +105,16 @@ def cmd_correlate(args) -> int:
         corr.check_peaks(edges, args.period,
                          peak_opts.get("peak_halfwidth", corr.DEFAULT_PEAK_HALFWIDTH),
                          peak_opts.get("background_per_bin", 0.0))
-    s1, s2 = _load_streams(args.streams)
+    s1, s2 = fio.read_stream_csv(args.stream)
     h = _correlate(s1, s2, args.window, args.bin, args.workers)
     peaks = (corr.integrate_peaks(h, period=args.period, **peak_opts)
              if args.period is not None else None)
     out = _outdir(args)
-    hist_path = out / f"{args.prefix}.csv"
+    hist_path = out / "histogram.csv"
     fio.write_histogram_csv(hist_path, h)
     print(f"wrote {hist_path} ({h.total_pairs} pairs)")
     if peaks is not None:
-        peaks_path = out / f"{args.prefix}.peaks.json"
+        peaks_path = out / "histogram.peaks.json"
         fio.write_peaks_report(peaks_path, peaks)
         print(f"g2_int = {peaks.g2_int:.4f} +- {peaks.g2_int_sigma:.4f} "
               f"-> {peaks_path}")
@@ -158,11 +150,14 @@ def _report_fit(report_path: Path, result) -> int:
 
 def cmd_fit(args) -> int:
     if args.model == "saturation":
+        if _given(args, "tau_o", "fit_halfwidth"):
+            raise FiberPhotonError("--tau-o/--fit-halfwidth apply to histogram "
+                                   "fits, not to --model saturation")
         result = fitmod.fit_saturation(fio.read_saturation_csv(args.input))
     else:
         fit = _histogram_fit(args.model, args.tau_o, args.fit_halfwidth)
         result = fit(fio.read_histogram_csv(args.input))
-    return _report_fit(_outdir(args) / f"{args.prefix}.json", result)
+    return _report_fit(_outdir(args) / "fit.json", result)
 
 
 def cmd_geometry(args) -> int:
@@ -171,8 +166,10 @@ def cmd_geometry(args) -> int:
         return EXIT_OK
     if args.geom_cmd == "modes":
         modes = geom.wgm_mode_numbers(args.a, args.wavelength, args.n)
+        # len() of a range beyond sys.maxsize raises OverflowError.
         if modes:
-            print(f"m={modes[0]}..{modes[-1]} count={len(modes)}")
+            print(f"m={modes.start}..{modes.stop - 1} "
+                  f"count={modes.stop - modes.start}")
         else:
             print("m=none count=0")
         return EXIT_OK
@@ -245,12 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "included, split evenly between the channels")
     p.add_argument("--jitter", type=float, dest="jitter_sigma",
                    help="jitter sigma (ns)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--prefix", default="stream")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("correlate", help="build a coincidence histogram")
-    p.add_argument("streams", nargs="+", help="one two-channel CSV or two CSVs")
+    p.add_argument("stream", help="two-channel stream CSV")
     p.add_argument("--window", type=float, default=corr.DEFAULT_CW_WINDOW)
     p.add_argument("--bin", type=float, default=corr.DEFAULT_BIN_WIDTH)
     p.add_argument("--period", type=float, help="pulse period (ns): integrate peaks")
@@ -259,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background-per-bin", type=float, help="counts (default 0)")
     p.add_argument("--workers", type=int,
                    help="most correlate threads (default: every core)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--prefix", default="histogram")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("fit", help="fit a histogram or saturation curve")
@@ -271,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed pulse width for the pulsed model (ns)")
     p.add_argument("--fit-halfwidth", type=float,
                    help="restrict the fit to |tau| below this (ns)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--prefix", default="fit")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("geometry", help="ray-optics calculators")
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=float, required=True)
     g.add_argument("--r-over-a", type=float, dest="r_over_a", default=0.9)
     g.add_argument("--sweep", action="store_true")
-    g.add_argument("--out", help="output directory")
+    g.add_argument("--out", default=".", help="output directory")
     g.set_defaults(func=cmd_geometry)
     g = gsub.add_parser("modes")
     g.add_argument("--a", type=float, required=True)
@@ -297,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline JSON config")
     p.add_argument("--workers", type=int,
                    help="most correlate threads (default: every core)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -106,8 +106,9 @@ def confinement_efficiency_sampled(n: float, r_over_a: float,
     return float(np.count_nonzero(sin_theta > 1.0 / n)) / num
 
 
-def wgm_mode_numbers(a: float, wavelength: float, n: float) -> list[int]:
-    """Natural numbers m with 2*pi*r_c < m*lambda/(2n) < 2*pi*a.
+def wgm_mode_numbers(a: float, wavelength: float, n: float) -> range:
+    """Natural numbers m with 2*pi*r_c < m*lambda/(2n) < 2*pi*a, as a range,
+    which holds any count of them in constant memory.
 
     These are the half-wavelength counts of standing whispering-gallery waves
     fitting the TIR annulus; scale-invariant in a/lambda.
@@ -118,7 +119,10 @@ def wgm_mode_numbers(a: float, wavelength: float, n: float) -> list[int]:
     # m > 4*pi*a*n/(lambda*n) = 4*pi*a/lambda  and  m < 4*pi*a*n/lambda
     lo = 4.0 * math.pi * a / wavelength
     hi = 4.0 * math.pi * a * n / wavelength
-    return list(range(math.floor(lo) + 1, math.ceil(hi)))
+    if hi == math.inf:
+        raise InvalidParameter(f"4*pi*a*n/lambda overflows a float for core radius "
+                               f"a = {a} and wavelength lambda = {wavelength}")
+    return range(math.floor(lo) + 1, math.ceil(hi))
 
 
 def confinement_sweep(n: float) -> tuple[np.ndarray, np.ndarray]:

@@ -758,12 +758,23 @@ class TestCliCorrelate:
         assert "stream.config.json" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_more_than_two_stream_paths_exit_2(self, tmp_path, capsys):
+    def test_more_than_two_stream_paths_exit_2(self, tmp_path):
         stream = str(self._simulate(tmp_path))
-        assert main(["correlate", stream, stream, stream,
-                     "--out", str(tmp_path)]) == 2
-        assert "not 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["correlate", stream, stream, stream, "--out", str(tmp_path)])
+        assert err.value.code == 2
         assert not (tmp_path / "histogram.csv").exists()
+
+    def test_two_stream_paths_exit_2(self, tmp_path, capsys):
+        """correlate takes one two-channel stream CSV; a second path is a
+        usage error, and nothing is written."""
+        stream = str(self._simulate(tmp_path / "in"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["correlate", stream, stream, "--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["correlate", str(tmp_path / "nope.csv"),
@@ -775,16 +786,6 @@ class TestCliCorrelate:
         code = main(["correlate", str(empty), "--out", str(tmp_path)])
         assert code == 0
         assert "no coincidences" in capsys.readouterr().err
-
-    def test_mismatched_durations_exit_2(self, tmp_path):
-        a = self._simulate(tmp_path / "a", seed=3)
-        b_dir = tmp_path / "b"
-        assert main(["simulate", "--wp", "0.01", "--gamma", "0.02",
-                     "--duration", "7e5", "--seed", "4",
-                     "--out", str(b_dir)]) == 0
-        code = main(["correlate", str(a), str(b_dir / "stream.csv"),
-                     "--out", str(tmp_path)])
-        assert code == 2
 
 
 @pytest.mark.parametrize("command, flags, word", [
@@ -844,6 +845,16 @@ def test_readme_flags_are_parser_options():
     assert flags - set(_parser_options(build_parser())) == set()
 
 
+def test_parser_options_are_in_the_readme():
+    """Every option string of every fiberphoton parser, help aside, appears
+    in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    options = set(_parser_options(build_parser())) - {"-h", "--help"}
+    missing = {opt for opt in options
+               if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)}
+    assert missing == set()
+
+
 def test_readme_library_example_runs(capsys):
     """The README's python block runs as written and prints the fitted g2_0
     and 2/w_p, two finite numbers."""
@@ -884,6 +895,22 @@ class TestCliFit:
         with pytest.raises(SystemExit) as err:
             main(["fit", str(sat), "--model", "bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--tau-o", "-1"],
+                                       ["--fit-halfwidth", "-5"],
+                                       ["--fit-halfwidth", "-5", "--tau-o", "-1"]])
+    def test_saturation_refuses_histogram_options(self, tmp_path, capsys,
+                                                  monkeypatch, flags):
+        """--tau-o and --fit-halfwidth set histogram fits only; with
+        --model saturation they exit 2 before the input is read."""
+        reads = []
+        monkeypatch.setattr(fio, "read_saturation_csv", reads.append)
+        out = tmp_path / "out"
+        assert main(["fit", str(tmp_path / "sat.csv"), "--model", "saturation",
+                     *flags, "--out", str(out)]) == 2
+        assert "saturation" in capsys.readouterr().err
+        assert not out.exists()
+        assert reads == []
 
     def test_pulsed_requires_tau_o(self, tmp_path):
         hist = tmp_path / "h.csv"
@@ -1030,6 +1057,16 @@ class TestCliGeometry:
         assert main(["geometry", "modes", "--a", "0.01", "--lambda", "1",
                      "--n", "1.45"]) == 0
         assert capsys.readouterr().out.strip() == "m=none count=0"
+        # Counts of billions and beyond sys.maxsize print at once: the mode
+        # numbers are a range, never a list.
+        for args, want in [
+                ("--a 1000 --lambda 1e-6",
+                 "m=12566370615..18221237390 count=5654866776"),
+                ("--a 1e10 --lambda 1e-10",
+                 "m=1256637061435917074433..1822123739082079600639 "
+                 "count=565486677646162526207")]:
+            assert main(["geometry", "modes", *args.split(), "--n", "1.45"]) == 0
+            assert capsys.readouterr().out.strip() == want, args
 
     def test_confinement_below_critical_offset(self, capsys):
         assert main(["geometry", "confinement", "--n", "1.45",
@@ -1043,7 +1080,9 @@ class TestCliGeometry:
                 ("confinement --n 1.45 --r-over-a 1.5", "emitter offset r/a"),
                 ("confinement --n 1.0", "refractive index n"),
                 ("modes --a -1 --lambda 1 --n 1.45", "core radius a"),
-                ("modes --a 1 --lambda 0 --n 1.45", "wavelength")]:
+                ("modes --a 1 --lambda 0 --n 1.45", "wavelength"),
+                ("modes --a 1e300 --lambda 1e-10 --n 1.45",
+                 "core radius a = 1e+300 and wavelength lambda = 1e-10")]:
             assert main(["geometry", *args.split()]) == 2, args
             assert name in capsys.readouterr().err, args
 
@@ -1081,11 +1120,32 @@ class TestCliPipeline:
         assert main(["pipeline", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 3
 
-    def test_outdir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FIBERPHOTON_OUTDIR", str(tmp_path / "envout"))
-        assert main(["simulate", "--wp", "0.01", "--gamma", "0.02",
-                     "--duration", "1e5", "--seed", "1"]) == 0
-        assert (tmp_path / "envout" / "stream.csv").exists()
+    def test_pipeline_writes_what_the_three_commands_write(self, tmp_path):
+        """One output layout: a cw pipeline directory holds the same files,
+        byte for byte, as simulate, correlate and fit run into one
+        directory with the same settings."""
+        steps = tmp_path / "steps"
+        for argv in (["simulate", "--wp", "0.2", "--gamma", "0.4",
+                      "--duration", "1e6", "--seed", "3"],
+                     ["correlate", str(steps / "stream.csv"), "--window", "100",
+                      "--bin", "1"],
+                     ["fit", str(steps / "histogram.csv"), "--model", "cw"]):
+            assert main([*argv, "--out", str(steps)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "simulate": {"emitter": {"w_p": 0.2, "gamma": 0.4},
+                         "duration": 1e6, "seed": 3},
+            "correlate": {"window": 100, "bin_width": 1},
+            "fit": {"model": "cw"}}))
+        piped = tmp_path / "pipeline"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(piped)]) == 0
+
+        def files(d):
+            return {p.name: p.read_bytes() for p in d.iterdir()}
+        assert sorted(files(piped)) == sorted([
+            "stream.csv", "stream.npz", "stream.config.json", "histogram.csv",
+            "histogram.config.json", "fit.json"])
+        assert files(piped) == files(steps)
 
     def _pipeline(self, tmp_path, config):
         cfg = tmp_path / "cfg.json"
